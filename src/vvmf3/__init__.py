@@ -9,7 +9,6 @@ level-7 primitives, induced families, unbounded-denominator primes).
 
 from .arith import (
     INFINITY,
-    ExactRational,
     ValuationValue,
     bernoulli,
     int_valuation,
@@ -38,7 +37,6 @@ from .qseries import (
     modular_derivative,
     modular_derivative_iterate,
     pqr_series,
-    series_arith,
 )
 from .reps import (
     CharacterData,
@@ -50,6 +48,7 @@ from .reps import (
     enumerate_level,
     gamma02_family,
     gamma3_family,
+    ubd_criterion,
     validate_triple,
 )
 from .valuation import (
@@ -61,7 +60,6 @@ from .valuation import (
     classify_prime,
     denominator_profile,
     predicted_valuation,
-    ubd_criterion,
     verify_formula,
     z_n_value,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "Classification",
     "DenominatorProfile",
     "DerivedBasis",
-    "ExactRational",
     "FamilyResult",
     "FormulaInapplicable",
     "InvalidTripleError",
@@ -110,7 +107,6 @@ __all__ = [
     "prime_factors",
     "pqr_series",
     "rational_str",
-    "series_arith",
     "sigma_k",
     "ubd_criterion",
     "validate_triple",

@@ -14,10 +14,6 @@ import math
 from fractions import Fraction
 from typing import Union
 
-# The universal scalar type.  An alias rather than a wrapper: Fraction already
-# guarantees reduced form and a positive denominator.
-ExactRational = Fraction
-
 # A p-adic valuation is a plain int, except that the valuation of zero is
 # INFINITY, which compares greater than every int and absorbs addition.
 ValuationValue = Union[int, float]
@@ -26,7 +22,6 @@ INFINITY: float = math.inf
 RationalLike = Union[Fraction, int]
 
 __all__ = [
-    "ExactRational",
     "INFINITY",
     "RationalLike",
     "ValuationValue",

@@ -43,7 +43,7 @@ from .reps import (
     gamma3_family,
     validate_triple,
 )
-from .valuation import ubd_criterion, verify_formula
+from .valuation import verify_formula
 
 __all__ = ["EXIT_INVALID", "EXIT_MISMATCH", "EXIT_OK", "FORMAT_ENV_VAR", "main", "run"]
 
@@ -66,10 +66,15 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class _Result:
+    """One result: the JSON object, and the rows that CSV and the table share.
+
+    The table prints ``preamble`` lines above the aligned rows.
+    """
+
     json_obj: object
-    csv_header: tuple[str, ...]
-    csv_rows: list[tuple]
-    table_lines: list[str] = field(default_factory=list)
+    header: tuple[str, ...]
+    rows: list[tuple]
+    preamble: list[str] = field(default_factory=list)
 
 
 def _fmt(x: object) -> str:
@@ -130,13 +135,12 @@ def _cmd_coeffs(args: argparse.Namespace) -> tuple[_Result, int]:
         for n in range(args.terms + 1)
     ]
     header = ("n", "component_A", "component_B", "component_C")
-    lines = [
+    preamble = [
         f"triple ({t.A},{t.B},{t.C},{t.N}), weight {_fmt(t.k0)}, "
         f"exponents {', '.join(_fmt(c.exponent) for c in comps)}",
         "",
     ]
-    lines.extend(_aligned(header, rows))
-    return _Result(json_obj, header, rows, lines), EXIT_OK
+    return _Result(json_obj, header, rows, preamble), EXIT_OK
 
 
 def _param_rows(sys_: MDESystem) -> list[tuple[str, object]]:
@@ -162,8 +166,7 @@ def _cmd_params(args: argparse.Namespace) -> tuple[_Result, int]:
     rows = _param_rows(sys_)
     json_obj = {"triple": t.to_json_dict()}
     json_obj.update({k: _fmt(v) if isinstance(v, Fraction) else v for k, v in rows})
-    header = ("field", "value")
-    return _Result(json_obj, header, rows, _aligned(header, rows)), EXIT_OK
+    return _Result(json_obj, ("field", "value"), rows), EXIT_OK
 
 
 def _cmd_valuations(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -177,24 +180,25 @@ def _cmd_valuations(args: argparse.Namespace) -> tuple[_Result, int]:
     json_obj = report.to_json_dict()
     header = ("n", "observed", "predicted")
     rows = list(report.rows)
-    lines = [
+    preamble = [
         f"triple ({t.A},{t.B},{t.C},{t.N})  prime {report.prime}  lead {report.lead}",
         f"case {json_obj['case']['case']}  delta {_fmt(report.case.delta)}  "
         f"verdict {report.verdict}",
         "",
     ]
-    lines.extend(_aligned(header, rows))
     code = (
         EXIT_MISMATCH
         if report.applicable and report.verdict != "formula-verified"
         else EXIT_OK
     )
-    return _Result(json_obj, header, rows, lines), code
+    return _Result(json_obj, header, rows, preamble), code
 
 
-def _classification_rows(t: RepTriple) -> list[tuple[str, object]]:
+def _cmd_classify(args: argparse.Namespace) -> tuple[_Result, int]:
+    t = _parse_triple(args.triple)
     cls = classify_triple(t)
-    return [
+    json_obj = {"triple": t.to_json_dict(), "classification": cls.to_json_dict()}
+    rows: list[tuple[str, object]] = [
         ("triple", f"({t.A},{t.B},{t.C},{t.N})"),
         ("k0", t.k0),
         ("small_level_congruence", cls.congruence_by_small_level),
@@ -203,15 +207,7 @@ def _classification_rows(t: RepTriple) -> list[tuple[str, object]]:
         ("ubd_primes", " ".join(str(p) for p in cls.ubd_primes)),
         ("notes", "; ".join(cls.notes)),
     ]
-
-
-def _cmd_classify(args: argparse.Namespace) -> tuple[_Result, int]:
-    t = _parse_triple(args.triple)
-    cls = classify_triple(t)
-    json_obj = {"triple": t.to_json_dict(), "classification": cls.to_json_dict()}
-    rows = _classification_rows(t)
-    header = ("field", "value")
-    return _Result(json_obj, header, rows, _aligned(header, rows)), EXIT_OK
+    return _Result(json_obj, ("field", "value"), rows), EXIT_OK
 
 
 def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -252,7 +248,7 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
                 {"triple": t.to_json_dict(), "classification": cls.to_json_dict()}
             )
     json_obj = {"level": lo, "level_max": hi, "count": len(rows), "rows": json_rows}
-    return _Result(json_obj, header, rows, _aligned(header, rows)), EXIT_OK
+    return _Result(json_obj, header, rows), EXIT_OK
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -276,8 +272,7 @@ def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:
         ("pattern_M", result.finite_image_pattern_m),
     ]
     rows.extend((f"chi({k})", _fmt(v)) for k, v in result.chi_exponents.items())
-    header = ("field", "value")
-    return _Result(json_obj, header, rows, _aligned(header, rows)), EXIT_OK
+    return _Result(json_obj, ("field", "value"), rows), EXIT_OK
 
 
 def _cmd_eisenstein(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -290,7 +285,7 @@ def _cmd_eisenstein(args: argparse.Namespace) -> tuple[_Result, int]:
     json_obj = {"weight": args.weight, "series": f.to_json_dict()}
     header = ("n", "coefficient")
     rows = [(n, f.coeffs[n]) for n in range(args.terms + 1)]
-    return _Result(json_obj, header, rows, _aligned(header, rows)), EXIT_OK
+    return _Result(json_obj, header, rows), EXIT_OK
 
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -320,8 +315,7 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[_Result, int]:
         rows.append((f"matrix.row{i}", " ".join(rational_str(v) for v in row)))
     rows.append(("det", basis.determinant))
     rows.append(("vandermonde", basis.vandermonde))
-    header = ("field", "value")
-    return _Result(json_obj, header, rows, _aligned(header, rows)), EXIT_OK
+    return _Result(json_obj, ("field", "value"), rows), EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -397,11 +391,11 @@ def _render(result: _Result, fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(result.csv_header)
-        for row in result.csv_rows:
+        writer.writerow(result.header)
+        for row in result.rows:
             writer.writerow([_fmt(v) for v in row])
         return buf.getvalue()
-    return "\n".join(result.table_lines) + "\n"
+    return "\n".join(result.preamble + _aligned(result.header, result.rows)) + "\n"
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

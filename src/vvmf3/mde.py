@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from .arith import RationalLike
+from .arith import RationalLike, rational_str
 from .qseries import QExpansion, _core_int_arrays, modular_derivative
 from .reps import RepTriple
 
@@ -53,9 +54,9 @@ __all__ = [
 class MDESystem:
     """The differential system for one triple, built to a fixed order.
 
-    g0, g1, g2 are the exact coefficient series (exponent 0).  h0, h1, h2 are
-    the integer caches 6N^3*G0(n), 6N^2*G1(n), 6N*G2(n) consumed by the
-    recursion core.
+    h0, h1, h2 are the integer arrays 6N^3*G0(n), 6N^2*G1(n), 6N*G2(n)
+    consumed by the recursion core; g0, g1, g2 are the exact coefficient
+    series (exponent 0) derived from them on first use.
     """
 
     triple: RepTriple
@@ -65,12 +66,25 @@ class MDESystem:
     x6: int
     alpha4: Fraction
     alpha6: Fraction
-    g0: QExpansion
-    g1: QExpansion
-    g2: QExpansion
     h0: tuple[int, ...]
     h1: tuple[int, ...]
     h2: tuple[int, ...]
+
+    def _series(self, h: tuple[int, ...], power: int) -> QExpansion:
+        den = 6 * self.triple.N**power
+        return QExpansion(0, (Fraction(v, den) for v in h))
+
+    @cached_property
+    def g0(self) -> QExpansion:
+        return self._series(self.h0, 3)
+
+    @cached_property
+    def g1(self) -> QExpansion:
+        return self._series(self.h1, 2)
+
+    @cached_property
+    def g2(self) -> QExpansion:
+        return self._series(self.h2, 1)
 
     @property
     def G0(self) -> tuple[Fraction, ...]:
@@ -85,8 +99,6 @@ class MDESystem:
         return self.g2.coeffs
 
     def to_json_dict(self) -> dict:
-        from .arith import rational_str
-
         return {
             "triple": self.triple.to_json_dict(),
             "k0": self.triple.k0,
@@ -120,7 +132,7 @@ class MinimalVector:
 def _exact_div(num: int, den: int, what: str) -> int:
     q, r = divmod(num, den)
     if r:
-        raise AssertionError(f"{what} is not divisible by {den}: {num}")
+        raise ArithmeticError(f"{what} is not divisible by {den}: {num}")
     return q
 
 
@@ -134,23 +146,28 @@ def build_mde(t: RepTriple, order: int) -> MDESystem:
     x4 = 144 * t.omega - 3 * x0 * (x0 + 4 * n) - 8 * n * n
     x6 = x0 * x4 + x0 * (x0 + 2 * n) * (x0 + 4 * n) - 1728 * t.product
     # Structural divisibility of the integer parameters.
-    assert x0 % 2 == 0 and x4 % 4 == 0 and x6 % 8 == 0, (x0, x4, x6)
-    if n % 3 == 0:
-        assert x0 % 3 == 0 and x4 % 3 == 0 and x6 % 9 == 0, (x0, x4, x6)
+    if not (x0 % 2 == 0 and x4 % 4 == 0 and x6 % 8 == 0):
+        raise ArithmeticError(f"x0, x4, x6 = {(x0, x4, x6)} fail 2 | x0, 4 | x4, 8 | x6")
+    if n % 3 == 0 and not (x0 % 3 == 0 and x4 % 3 == 0 and x6 % 9 == 0):
+        raise ArithmeticError(f"x0, x4, x6 = {(x0, x4, x6)} fail 3 | x0, 3 | x4, 9 | x6")
 
-    e2, e4, e6, s22, s222, s24 = _core_int_arrays(order)
+    e2, e4, e6 = _core_int_arrays(order)
     w4 = 3 * x0 * n + 2 * n * n + x4  # N^2 * (3 k0 + 2 + 144 alpha4)
     w6 = 4 * x0 * n * n - x6  # 4 N^3 * (k0 - 432 alpha6)
     p1 = 3 * (x0 + n) * (x0 + 2 * n)  # 3 N^2 * (k0+1)(k0+2)
     p3 = x0 * (x0 + n) * (x0 + 2 * n)  # N^3 * k0 (k0+1)(k0+2)
 
+    # 24 h1 = 144N^2 [m=0] - 144N sigma E2 + p1 E2^2 + w4 E4 and
+    # -288 h0 = x0 w4 E2 E4 + p3 E2^3 + w6 E6, where Ramanujan's identities
+    # (theta = q d/dq) make every product linear in Eisenstein coefficients:
+    #   E2^2 = E4 + 12 theta E2,  E2 E4 = E6 + 3 theta E4,
+    #   E2^3 = E6 + 9 theta E4 + 72 theta^2 E2.
     h2 = [18 * n - 6 * sig] + [-6 * sig * v for v in e2[1:]]
     h1 = [
         _exact_div(
             (144 * n * n if m == 0 else 0)
-            - 144 * n * sig * e2[m]
-            + p1 * s22[m]
-            + w4 * e4[m],
+            + (12 * m * p1 - 144 * n * sig) * e2[m]
+            + (p1 + w4) * e4[m],
             24,
             "scaled g1 coefficient",
         )
@@ -158,7 +175,11 @@ def build_mde(t: RepTriple, order: int) -> MDESystem:
     ]
     h0 = [
         _exact_div(
-            -(x0 * w4 * s24[m] + p3 * s222[m] + w6 * e6[m]),
+            -(
+                72 * m * m * p3 * e2[m]
+                + m * (3 * x0 * w4 + 9 * p3) * e4[m]
+                + (x0 * w4 + p3 + w6) * e6[m]
+            ),
             288,
             "scaled g0 coefficient",
         )
@@ -173,9 +194,6 @@ def build_mde(t: RepTriple, order: int) -> MDESystem:
         x6=x6,
         alpha4=Fraction(x4, (12 * n) ** 2),
         alpha6=Fraction(x6, (12 * n) ** 3),
-        g0=QExpansion(0, (Fraction(v, 6 * n**3) for v in h0)),
-        g1=QExpansion(0, (Fraction(v, 6 * n**2) for v in h1)),
-        g2=QExpansion(0, (Fraction(v, 6 * n) for v in h2)),
         h0=tuple(h0),
         h1=tuple(h1),
         h2=tuple(h2),
@@ -224,7 +242,8 @@ def lambda_n(t: RepTriple, lead: int, n: int) -> int:
     val = t.N * n * (t.N * n + (a - b) + (a - c)) + (a - b) * (a - c)
     # Zero would mean a resonant exponent pair, impossible for distinct
     # exponents in [0, 1).
-    assert val != 0, (t, lead, n)
+    if val == 0:
+        raise ArithmeticError(f"lambda_n vanishes for {t}, lead {lead}, n = {n}")
     return val
 
 

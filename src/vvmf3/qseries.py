@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .arith import RationalLike, bernoulli, rational_str, sigma_k
 
@@ -25,7 +25,6 @@ __all__ = [
     "modular_derivative",
     "modular_derivative_iterate",
     "pqr_series",
-    "series_arith",
 ]
 
 
@@ -158,30 +157,6 @@ class QExpansion:
         return series
 
 
-def series_arith(
-    op: str, lhs: QExpansion, rhs: Union[QExpansion, RationalLike]
-) -> QExpansion:
-    """Dispatch add / mul / scale; the dunder operators do the work.
-
-    >>> one_plus_q = QExpansion(0, [1, 1, 0])
-    >>> series_arith("mul", one_plus_q, QExpansion(0, [1, -1, 0])).coeffs
-    (Fraction(1, 1), Fraction(0, 1), Fraction(-1, 1))
-    """
-    if op == "add":
-        if not isinstance(rhs, QExpansion):
-            raise ValueError("add needs a QExpansion right operand")
-        return lhs + rhs
-    if op == "mul":
-        if not isinstance(rhs, QExpansion):
-            raise ValueError("mul needs a QExpansion right operand")
-        return lhs * rhs
-    if op == "scale":
-        if isinstance(rhs, QExpansion):
-            raise ValueError("scale needs a rational right operand")
-        return lhs.scale(rhs)
-    raise ValueError(f"unknown series operation {op!r}")
-
-
 @lru_cache(maxsize=None)
 def _eisenstein_coeffs(k: int, order: int) -> tuple[Fraction, ...]:
     factor = Fraction(-2 * k) / bernoulli(k)
@@ -247,28 +222,11 @@ def modular_derivative_iterate(
     return out
 
 
-def _int_convolution(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j in range(len(a) - i):
-            y = b[j]
-            if y:
-                out[i + j] += x * y
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _core_int_arrays(
-    order: int,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Integer coefficient arrays (E2, E4, E6, E2*E2, E2*E2*E2, E2*E4) to the
-    given order, shared across differential systems of every level."""
+def _core_int_arrays(order: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Integer coefficient arrays (E2, E4, E6) to the given order, shared
+    across differential systems of every level."""
     e2 = (1,) + tuple(-24 * sigma_k(1, n) for n in range(1, order + 1))
     e4 = (1,) + tuple(240 * sigma_k(3, n) for n in range(1, order + 1))
     e6 = (1,) + tuple(-504 * sigma_k(5, n) for n in range(1, order + 1))
-    s22 = _int_convolution(e2, e2)
-    s222 = _int_convolution(s22, e2)
-    s24 = _int_convolution(e2, e4)
-    return e2, e4, e6, s22, s222, s24
+    return e2, e4, e6

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .arith import prime_factors, rational_str
+
 __all__ = [
     "CharacterData",
     "Classification",
@@ -25,12 +27,17 @@ __all__ = [
     "enumerate_level",
     "gamma02_family",
     "gamma3_family",
+    "ubd_criterion",
     "validate_triple",
 ]
 
 LEVEL7_PRIMITIVE_CLASSES = frozenset({frozenset({1, 2, 4}), frozenset({3, 5, 6})})
 
 PRIMITIVE_NOTE = "congruence kernel asserted without proof; not verified here"
+
+# Levels dividing this number never pass the criterion; its prime content is
+# exactly the p-power thresholds of the covered cases.
+_BOUNDED_PART = 2**8 * 3**4 * 5**2 * 7**2
 
 
 class InvalidTripleError(ValueError):
@@ -229,8 +236,6 @@ class FamilyResult:
         return self.triple.N
 
     def to_json_dict(self) -> dict:
-        from .arith import rational_str
-
         return {
             "family": self.family,
             "params": self.params.to_json_dict(),
@@ -288,7 +293,8 @@ def gamma02_family(data: CharacterData) -> FamilyResult:
     level = 8 * m // math.gcd(4, m * x)
     scaled = sorted(e * level for e in (e1, e2, e3))
     # N * e_j is integral: gcd(4, Mx) divides both 4A + Mx and 4M.
-    assert all(v.denominator == 1 for v in scaled), (data, scaled)
+    if any(v.denominator != 1 for v in scaled):
+        raise ArithmeticError(f"level {level} does not clear the exponents {scaled} of {data}")
     triple = validate_triple(int(scaled[0]), int(scaled[1]), int(scaled[2]), level)
     return FamilyResult(
         family="gamma02",
@@ -358,15 +364,27 @@ class Classification:
         }
 
 
+def ubd_criterion(N: int) -> list[int]:
+    """Primes dividing N / gcd(N, 2^8 * 3^4 * 5^2 * 7^2), sorted.
+
+    Every listed prime admits a covered case whose hypothesis holds, so each
+    certifies unbounded denominators for every admissible triple at level N.
+
+    >>> ubd_criterion(22), ubd_criterion(48), ubd_criterion(512)
+    ([11], [], [2])
+    """
+    if N < 1:
+        raise ValueError(f"level must be >= 1, got {N}")
+    rest = N // math.gcd(N, _BOUNDED_PART)
+    return [p for p, _ in prime_factors(rest)]
+
+
 def classify_triple(t: RepTriple) -> Classification:
     """Classification flags for a validated triple.
 
     >>> classify_triple(validate_triple(1, 3, 7, 11)).ubd_primes
     (11,)
     """
-    # Imported here: the valuation module depends on this one.
-    from .valuation import ubd_criterion
-
     primitive = t.N == 7 and frozenset({t.A, t.B, t.C}) in LEVEL7_PRIMITIVE_CLASSES
     notes = (PRIMITIVE_NOTE,) if primitive else ()
     return Classification(

@@ -14,14 +14,14 @@ at desk scale; the module also profiles observed denominators directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import accumulate
+from typing import Iterator, Optional
 
 from .arith import INFINITY, ValuationValue, int_valuation, is_prime, prime_factors, valuation_p
 from .mde import build_mde, component_series, lambda_n
 from .qseries import QExpansion
-from .reps import RepTriple
+from .reps import RepTriple, ubd_criterion
 
 __all__ = [
     "DenominatorProfile",
@@ -39,10 +39,6 @@ __all__ = [
 
 DEFAULT_WINDOW = 50
 DEFAULT_N_MAX = 100
-
-# Levels dividing this number never pass the criterion; its prime content is
-# exactly the p-power thresholds of the covered cases.
-_BOUNDED_PART = 2**8 * 3**4 * 5**2 * 7**2
 
 
 class FormulaInapplicable(Exception):
@@ -90,7 +86,10 @@ class ValuationReport:
     verdict is "formula-verified" only when the case is covered, the
     nu_p(N) > 2 nu_p(z_0) hypothesis holds, and every row matches exactly.
     "inapplicable" means the law makes no claim (uncovered case or hypothesis
-    failure); the rows then carry observations with predicted = None.
+    failure); the rows then carry observations with predicted = None.  A
+    mismatch falls back to the observation rule of :class:`DenominatorProfile`:
+    "empirically-unbounded" where it sees a decreasing pattern, else
+    "bounded-in-window".
     """
 
     triple: RepTriple
@@ -233,6 +232,14 @@ def _delta_for_lead(t: RepTriple, p: int, lead: int, window: int) -> int:
     return vz - nu_level
 
 
+def _law_sums(t: RepTriple, p: int, lead: int, n_max: int) -> Iterator[int]:
+    """nu_p(prod_{k<=n} k lambda(k)) for n = 1, ..., n_max."""
+    return accumulate(
+        int_valuation(k, p) + int_valuation(lambda_n(t, lead, k), p)
+        for k in range(1, n_max + 1)
+    )
+
+
 def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     """The law's value n*delta - nu_p(prod_{k<=n} k lambda(k)).
 
@@ -249,27 +256,8 @@ def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     if case.case_id is None:
         raise FormulaInapplicable(f"no covered case for p = {p} at level {t.N}")
     delta = _delta_for_lead(t, p, lead, case.window)
-    acc = 0
-    for k in range(1, n + 1):
-        acc += int_valuation(k, p) + int_valuation(lambda_n(t, lead, k), p)
+    *_, acc = _law_sums(t, p, lead, n)
     return n * delta - acc
-
-
-def _observational_verdict(
-    observed: list[ValuationValue], window: int
-) -> str:
-    finite = [v for v in observed if v != INFINITY]
-    if not finite or min(finite) >= 0:
-        return "bounded-in-window"
-    running = INFINITY
-    last_new_min = 0
-    for i, v in enumerate(observed):
-        if v < running:
-            running = v
-            last_new_min = i
-    if running <= -3 and last_new_min >= len(observed) - max(1, window // 10):
-        return "empirically-unbounded"
-    return "bounded-in-window"
 
 
 def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> ValuationReport:
@@ -291,19 +279,20 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
         reason = "no leading role attains the predicted constant z-valuation"
 
     comp = component_series(build_mde(t, n_max), lead, n_max)
-    rows: list[tuple[int, ValuationValue, Optional[int]]] = []
-    acc = 0
-    for n in range(1, n_max + 1):
-        acc += int_valuation(n, p) + int_valuation(lambda_n(t, lead, n), p)
-        predicted = n * delta - acc if applicable else None
-        rows.append((n, valuation_p(comp.coeffs[n], p), predicted))
+    rows: list[tuple[int, ValuationValue, Optional[int]]] = [
+        (n, valuation_p(comp.coeffs[n], p), n * delta - acc if applicable else None)
+        for n, acc in enumerate(_law_sums(t, p, lead, n_max), 1)
+    ]
 
     if not applicable:
         verdict = "inapplicable"
     elif all(observed == predicted for _, observed, predicted in rows):
         verdict = "formula-verified"
+    # Prepend nu_p(a(0)) = 0 so that the index of each valuation is its n.
+    elif _late_new_minimum(_prime_stats(p, [0] + [obs for _, obs, _ in rows]), n_max):
+        verdict = "empirically-unbounded"
     else:
-        verdict = _observational_verdict([obs for _, obs, _ in rows], n_max)
+        verdict = "bounded-in-window"
     return ValuationReport(
         triple=t,
         prime=p,
@@ -314,21 +303,6 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
         applicable=applicable,
         reason=reason,
     )
-
-
-def ubd_criterion(N: int) -> list[int]:
-    """Primes dividing N / gcd(N, 2^8 * 3^4 * 5^2 * 7^2), sorted.
-
-    Every listed prime admits a covered case whose hypothesis holds, so each
-    certifies unbounded denominators for every admissible triple at level N.
-
-    >>> ubd_criterion(22), ubd_criterion(48), ubd_criterion(512)
-    ([11], [], [2])
-    """
-    if N < 1:
-        raise ValueError(f"level must be >= 1, got {N}")
-    rest = N // math.gcd(N, _BOUNDED_PART)
-    return [p for p, _ in prime_factors(rest)]
 
 
 @dataclass(frozen=True)
@@ -375,6 +349,30 @@ class DenominatorProfile:
         }
 
 
+def _prime_stats(p: int, vals: list[ValuationValue]) -> PrimeStats:
+    """Statistics of the valuations vals[i] of the coefficients a(i)."""
+    running = INFINITY
+    last_new_min = new_min_count = 0
+    for i, v in enumerate(vals):
+        if v < running:
+            running, last_new_min = v, i
+            new_min_count += 1
+    return PrimeStats(
+        prime=p,
+        min_valuation=running,
+        min_index=last_new_min,
+        new_min_count=new_min_count,
+        last_new_min_index=last_new_min,
+        strictly_decreasing=all(b < a for a, b in zip(vals, vals[1:])),
+    )
+
+
+def _late_new_minimum(s: PrimeStats, T: int) -> bool:
+    """The decreasing-pattern rule: the minimum is at most -3 and was last
+    lowered at n >= T - max(1, T // 10), in the last tenth of the window."""
+    return s.min_valuation <= -3 and s.last_new_min_index >= T - max(1, T // 10)
+
+
 def denominator_profile(f: QExpansion, n_max: Optional[int] = None) -> DenominatorProfile:
     """Profile the denominators of a series through n_max coefficients."""
     T = f.order if n_max is None else n_max
@@ -392,40 +390,11 @@ def denominator_profile(f: QExpansion, n_max: Optional[int] = None) -> Denominat
             primes.extend(p for p, _ in prime_factors(d))
             primes.sort()
 
-    stats = []
-    for p in primes:
-        vals = [valuation_p(c, p) for c in coeffs]
-        running = INFINITY
-        min_index = 0
-        new_min_count = 0
-        last_new_min = 0
-        strictly = True
-        for i, v in enumerate(vals):
-            if i and v >= vals[i - 1]:
-                strictly = False
-            if v < running:
-                running = v
-                min_index = i
-                new_min_count += 1
-                last_new_min = i
-        stats.append(
-            PrimeStats(
-                prime=p,
-                min_valuation=running,
-                min_index=min_index,
-                new_min_count=new_min_count,
-                last_new_min_index=last_new_min,
-                strictly_decreasing=strictly,
-            )
-        )
-
+    stats = tuple(_prime_stats(p, [valuation_p(c, p) for c in coeffs]) for p in primes)
     if not stats:
         verdict = "all-integral"
-    elif any(
-        s.min_valuation <= -3 and s.last_new_min_index >= T - max(1, T // 10)
-        for s in stats
-    ):
+    elif any(_late_new_minimum(s, T) for s in stats):
         verdict = "decreasing-unbounded-pattern"
     else:
         verdict = "bounded-in-window"
-    return DenominatorProfile(window=T, stats=tuple(stats), verdict=verdict)
+    return DenominatorProfile(window=T, stats=stats, verdict=verdict)

@@ -1,4 +1,8 @@
+import os
+import subprocess
 from fractions import Fraction
+from pathlib import Path
+from sys import executable
 
 import pytest
 
@@ -36,9 +40,17 @@ def test_integer_parameters_anchor():
 
 
 def test_g_series_match_oracle():
-    for t in (ANCHOR, UNBOUNDED, validate_triple(0, 1, 2, 3)):
-        sys = build_mde(t, 15)
-        g0, g1, g2 = oracle_g_series(t, 15)
+    # Levels 9 and 8 exercise the 3- and 2-adic divisions of the closed forms.
+    for t, order in (
+        (ANCHOR, 15),
+        (UNBOUNDED, 15),
+        (validate_triple(0, 1, 2, 3), 15),
+        (validate_triple(1, 2, 6, 9), 15),
+        (validate_triple(2, 3, 7, 8), 15),
+        (UNBOUNDED, 120),
+    ):
+        sys = build_mde(t, order)
+        g0, g1, g2 = oracle_g_series(t, order)
         assert list(sys.G0) == g0
         assert list(sys.G1) == g1
         assert list(sys.G2) == g2
@@ -179,3 +191,42 @@ def test_system_json_dict():
     assert data["alpha4"] == "-5/252"
     assert data["g2"]["coeffs"][0] == "2"
     assert data["triple"]["k0"] == 2
+
+
+
+_OPTIMIZED_PROBE = """
+import sys
+from vvmf3.mde import _exact_div, lambda_n
+from vvmf3.reps import RepTriple
+
+assert sys.flags.optimize
+# (0, 1, 5) at level 1 bypasses validation; lambda(1) vanishes for lead 0.
+t = object.__new__(RepTriple)
+for name, value in zip("ABCN", (0, 1, 5, 1)):
+    object.__setattr__(t, name, value)
+for call in (lambda: _exact_div(7, 2, "probe"), lambda: lambda_n(t, 0, 1)):
+    try:
+        call()
+    except ArithmeticError as exc:
+        print(exc)
+    else:
+        sys.exit("no ArithmeticError")
+"""
+
+
+def test_invariants_survive_optimized_mode():
+    # python -O strips assert statements; the invariant checks must still raise.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [executable, "-O", "-c", _OPTIMIZED_PROBE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "probe is not divisible by 2: 7",
+        "lambda_n vanishes for RepTriple(A=0, B=1, C=5, N=1), lead 0, n = 1",
+    ]

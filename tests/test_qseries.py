@@ -11,7 +11,6 @@ from vvmf3.qseries import (
     modular_derivative,
     modular_derivative_iterate,
     pqr_series,
-    series_arith,
 )
 from conftest import oracle_eisenstein
 
@@ -69,16 +68,6 @@ def test_multiplication_exponent_wraparound():
 def test_scale():
     f = _series((1, 7), [1, -3])
     assert f.scale(Fraction(2, 5)).coeffs == (Fraction(2, 5), Fraction(-6, 5))
-
-
-def test_series_arith_dispatch():
-    f = _series((0, 1), [1, 2])
-    g = _series((0, 1), [3, 4])
-    assert series_arith("add", f, g) == f + g
-    assert series_arith("mul", f, g) == f * g
-    assert series_arith("scale", f, Fraction(3)) == f.scale(3)
-    with pytest.raises(ValueError):
-        series_arith("div", f, g)
 
 
 def test_eisenstein_matches_oracle():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import sample_triples
 from vvmf3.arith import INFINITY, int_valuation, prime_factors
 from vvmf3.mde import build_mde, component_series, phi_j
+import vvmf3.valuation
 from vvmf3.reps import enumerate_level, validate_triple
 from vvmf3.valuation import (
     FormulaInapplicable,
@@ -282,6 +283,43 @@ def test_denominator_profile_synthetic_unbounded() -> None:
     assert profile.verdict == "decreasing-unbounded-pattern"
     assert profile.stats[0].prime == 2
     assert profile.stats[0].new_min_count == 12
+
+
+def test_denominator_profile_boundary_of_late_minimum() -> None:
+    # T = 30: the last new minimum must fall at n >= 30 - max(1, 3) = 27.
+    for last, verdict in ((27, "decreasing-unbounded-pattern"), (26, "bounded-in-window")):
+        series = QExpansion(
+            exponent=Fraction(0),
+            coeffs=tuple(Fraction(1, 2 ** min(k, last)) for k in range(31)),
+        )
+        profile = denominator_profile(series)
+        assert profile.verdict == verdict
+        assert profile.stats[0].last_new_min_index == last
+        assert profile.stats[0].min_index == last
+
+
+@pytest.mark.parametrize(
+    "doctor, verdict",
+    [
+        # Row 1 off the law; the minimum keeps falling to n = 20.
+        (lambda cs: [cs[0], cs[1] * 11] + cs[2:], "empirically-unbounded"),
+        # Last new minimum at n = 20 - max(1, 2) = 18: still late.
+        (lambda cs: cs[:19] + [Fraction(1)] * 2, "empirically-unbounded"),
+        # Last new minimum at n = 17: early, so no pattern.
+        (lambda cs: cs[:18] + [Fraction(1)] * 3, "bounded-in-window"),
+    ],
+    ids=["row-1-off", "late-at-boundary", "early"],
+)
+def test_verify_formula_mismatch_verdict(monkeypatch, doctor, verdict) -> None:
+    t = validate_triple(1, 3, 7, 11)
+    real = component_series(build_mde(t, 20), 1, 20)
+    doctored = QExpansion(real.exponent, doctor(list(real.coeffs)))
+    monkeypatch.setattr(
+        vvmf3.valuation, "component_series", lambda sys, lead, order: doctored
+    )
+    report = verify_formula(t, 11, n_max=20)
+    assert report.applicable
+    assert report.verdict == verdict
 
 
 def test_denominator_profile_validation() -> None:
