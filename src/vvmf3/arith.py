@@ -127,7 +127,9 @@ def prime_factors(n: int) -> list[tuple[int, int]]:
 
 
 def int_valuation(n: int, p: int) -> ValuationValue:
-    """Exponent of p in n, for n an integer; INFINITY when n is 0."""
+    """Exponent of p in n, for n an integer and p >= 2; INFINITY when n is 0."""
+    if p < 2:
+        raise ValueError(f"int_valuation needs p >= 2, got {p}")
     if n == 0:
         return INFINITY
     v = 0
@@ -180,11 +182,13 @@ def bernoulli(k: int) -> Fraction:
 
 
 def sigma_k(k: int, n: int) -> int:
-    """Sum of k-th powers of the positive divisors of n.
+    """Sum of k-th powers of the positive divisors of n, for k >= 0.
 
     >>> sigma_k(1, 6), sigma_k(3, 2), sigma_k(3, 1)
     (12, 9, 1)
     """
+    if k < 0:
+        raise ValueError(f"sigma_k needs k >= 0, got {k}")
     if n <= 0:
         raise ValueError(f"sigma_k needs n >= 1, got {n}")
     total = 0

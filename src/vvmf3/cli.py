@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .arith import rational_str
 from .mde import MDESystem, build_mde, component_series, derived_basis, minimal_vector
@@ -85,17 +84,14 @@ def _fmt(x: object) -> str:
     return "" if x is None else str(x)
 
 
-def _aligned(header: Sequence[str], rows: Sequence[Sequence[object]]) -> list[str]:
+def _aligned(header: Sequence[str], rows: Sequence[Sequence[object]]) -> Iterator[str]:
     cells = [[_fmt(v) for v in row] for row in rows]
     widths = [
         max(len(header[i]), *(len(row[i]) for row in cells)) if cells else len(header[i])
         for i in range(len(header))
     ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.extend(
-        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells
-    )
-    return lines
+    for row in [header, *cells]:
+        yield "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
 
 
 def _parse_triple(text: str) -> RepTriple:
@@ -385,17 +381,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _render(result: _Result, fmt: str) -> str:
+def _render(result: _Result, fmt: str, out: TextIO) -> None:
     if fmt == "json":
-        return json.dumps(result.json_obj, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        json.dump(result.json_obj, out, indent=2)
+        out.write("\n")
+    elif fmt == "csv":
+        writer = csv.writer(out)
         writer.writerow(result.header)
         for row in result.rows:
             writer.writerow([_fmt(v) for v in row])
-        return buf.getvalue()
-    return "\n".join(result.preamble + _aligned(result.header, result.rows)) + "\n"
+    else:
+        for line in chain(result.preamble, _aligned(result.header, result.rows)):
+            out.write(line + "\n")
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -423,11 +420,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    text = _render(result, fmt)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    if not args.output:
+        _render(result, fmt, sys.stdout)
+        return code
+    try:
+        with open(args.output, "w") as out:
+            _render(result, fmt, out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     return code
 
 

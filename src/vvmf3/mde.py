@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Optional
 
 from .arith import RationalLike, rational_str
-from .qseries import QExpansion, _core_int_arrays, modular_derivative
+from .qseries import QExpansion, _eisenstein_coeffs, modular_derivative
 from .reps import RepTriple
 
 __all__ = [
@@ -151,7 +151,7 @@ def build_mde(t: RepTriple, order: int) -> MDESystem:
     if n % 3 == 0 and not (x0 % 3 == 0 and x4 % 3 == 0 and x6 % 9 == 0):
         raise ArithmeticError(f"x0, x4, x6 = {(x0, x4, x6)} fail 3 | x0, 3 | x4, 9 | x6")
 
-    e2, e4, e6 = _core_int_arrays(order)
+    e2, e4, e6 = ([c.numerator for c in _eisenstein_coeffs(k, order)] for k in (2, 4, 6))
     w4 = 3 * x0 * n + 2 * n * n + x4  # N^2 * (3 k0 + 2 + 144 alpha4)
     w6 = 4 * x0 * n * n - x6  # 4 N^3 * (k0 - 432 alpha6)
     p1 = 3 * (x0 + n) * (x0 + 2 * n)  # 3 N^2 * (k0+1)(k0+2)
@@ -224,22 +224,18 @@ def phi_j(sys: MDESystem, j: int, lam: RationalLike) -> Fraction:
     return sys.G2[j] * lam * (lam - 1) + sys.G1[j] * lam + sys.G0[j]
 
 
-def _roles(t: RepTriple, lead: int) -> tuple[int, int, int]:
-    if lead not in (t.A, t.B, t.C):
-        raise ValueError(f"lead exponent {lead} is not one of {(t.A, t.B, t.C)}")
-    others = [e for e in (t.A, t.B, t.C) if e != lead]
-    return lead, others[0], others[1]
-
-
 def lambda_n(t: RepTriple, lead: int, n: int) -> int:
     """The integer N^2 * phi(lead/N + n) / n; never zero for a valid triple.
 
-    Symmetric in the two non-lead exponents.
+    Symmetric in the two non-lead exponents b, c: with a = lead,
+    3a - sigma = (a - b) + (a - c) and 3a^2 - 2a sigma + omega = (a - b)(a - c).
     """
     if n < 1:
         raise ValueError(f"lambda_n needs n >= 1, got {n}")
-    a, b, c = _roles(t, lead)
-    val = t.N * n * (t.N * n + (a - b) + (a - c)) + (a - b) * (a - c)
+    if lead not in (t.A, t.B, t.C):
+        raise ValueError(f"lead exponent {lead} is not one of {(t.A, t.B, t.C)}")
+    sig, nn = t.sigma, t.N * n
+    val = nn * (nn + 3 * lead - sig) + lead * (3 * lead - 2 * sig) + t.omega
     # Zero would mean a resonant exponent pair, impossible for distinct
     # exponents in [0, 1).
     if val == 0:

@@ -221,12 +221,3 @@ def modular_derivative_iterate(
         weight += 2
     return out
 
-
-@lru_cache(maxsize=None)
-def _core_int_arrays(order: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Integer coefficient arrays (E2, E4, E6) to the given order, shared
-    across differential systems of every level."""
-    e2 = (1,) + tuple(-24 * sigma_k(1, n) for n in range(1, order + 1))
-    e4 = (1,) + tuple(240 * sigma_k(3, n) for n in range(1, order + 1))
-    e6 = (1,) + tuple(-504 * sigma_k(5, n) for n in range(1, order + 1))
-    return e2, e4, e6

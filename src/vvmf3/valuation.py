@@ -1,9 +1,10 @@
 """p-adic analysis of the recursion coefficients.
 
 The engine behind the unbounded-denominator verdicts: the integers
-z_n = N^3 * phi_1(A/N + n) have p-adic valuation constant in n for the prime
-cases classified here, and when additionally nu_p(N) > 2 nu_p(z_0) the
-coefficient valuations obey the exact law
+z_n = N^3 * phi_1(A/N + n) satisfy z_n = z_0 + 24 N n L(n), with L an integer
+polynomial, so nu_p(z_n) = nu_p(z_0) for every n once nu_p(z_0) < nu_p(24N).
+When additionally nu_p(N) > 2 nu_p(z_0) the coefficient valuations obey the
+exact law
 
     nu_p(a(n)) = n * delta - nu_p(prod_{k=1..n} k * lambda(k)),
 
@@ -37,7 +38,6 @@ __all__ = [
     "z_n_value",
 ]
 
-DEFAULT_WINDOW = 50
 DEFAULT_N_MAX = 100
 
 
@@ -50,9 +50,9 @@ class PrimeCase:
     """Classifier outcome for a prime dividing the level.
 
     case_id is 1..8 for a covered case (subcase 'a' or 'b' refines case 3) and
-    None when no case applies.  lead is the exponent placed in the leading
-    role, selected so that nu_p(z_n) is constant at the predicted value over
-    the verification window; window_verified records that the check passed.
+    None when no case applies.  lead is the smallest exponent whose z_0 has
+    the predicted valuation, or None when there is none; every covered case
+    predicts less than nu_p(24N), so nu_p(z_n) then equals it for every n.
     delta = predicted - nu_p(N), negative whenever the coefficient law's
     hypothesis nu_p(N) > 2 nu_p(z_0) holds.
     """
@@ -63,8 +63,6 @@ class PrimeCase:
     predicted_z_valuation: Optional[int]
     lead: Optional[int]
     delta: Optional[int]
-    window: int
-    window_verified: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,8 +72,6 @@ class PrimeCase:
             "predicted_z_valuation": self.predicted_z_valuation,
             "lead": self.lead,
             "delta": self.delta,
-            "window": self.window,
-            "window_verified": self.window_verified,
         }
 
 
@@ -85,11 +81,11 @@ class ValuationReport:
 
     verdict is "formula-verified" only when the case is covered, the
     nu_p(N) > 2 nu_p(z_0) hypothesis holds, and every row matches exactly.
-    "inapplicable" means the law makes no claim (uncovered case or hypothesis
-    failure); the rows then carry observations with predicted = None.  A
-    mismatch falls back to the observation rule of :class:`DenominatorProfile`:
-    "empirically-unbounded" where it sees a decreasing pattern, else
-    "bounded-in-window".
+    "inapplicable" means the law makes no claim (uncovered case, no leading
+    role, or hypothesis failure); the rows then carry observations with
+    predicted = None.  A mismatch falls back to the observation rule of
+    :class:`DenominatorProfile`: "empirically-unbounded" where it sees a
+    decreasing pattern, else "bounded-in-window".
     """
 
     triple: RepTriple
@@ -123,6 +119,8 @@ class ValuationReport:
 
 def z_n_value(t: RepTriple, lead: int, n: int) -> int:
     """The integer N^3 * phi_1(lead/N + n); symmetric in the other exponents.
+
+    z_n - z_0 = 24 N n (10 omega + sigma (2 lead + N n - N) - 2 sigma (2 sigma - N)).
 
     >>> from .reps import validate_triple
     >>> z_n_value(validate_triple(1, 2, 4, 7), 1, 0)
@@ -170,60 +168,37 @@ def _case_table(t: RepTriple, p: int) -> Optional[tuple[int, Optional[str], int]
     return (8, None, 4) if big_n % 32 == 0 else None
 
 
-def classify_prime(t: RepTriple, p: int, window: int = DEFAULT_WINDOW) -> PrimeCase:
+def classify_prime(t: RepTriple, p: int) -> PrimeCase:
     """Match a prime divisor of the level against the eight covered cases.
 
     The structural conditions involve only p, N, omega, and the exponent
-    product, so they are labeling-independent; the leading role is then chosen
-    by checking nu_p(z_n) constancy at the predicted value for n in
-    [0, window], smallest exponent first.
+    product, so they are labeling-independent; the leading role is then the
+    smallest exponent whose z_0 has the predicted valuation, which by
+    z_n = z_0 mod 24N is the valuation of every z_n.
     """
     if not is_prime(p):
         raise ValueError(f"classify_prime needs a prime, got {p}")
     if t.N % p != 0:
         raise ValueError(f"{p} does not divide the level {t.N}")
+    case_id = subcase = predicted = lead = delta = None
     entry = _case_table(t, p)
-    if entry is None:
-        return PrimeCase(
-            prime=p,
-            case_id=None,
-            subcase=None,
-            predicted_z_valuation=None,
-            lead=None,
-            delta=None,
-            window=window,
-            window_verified=False,
+    if entry is not None:
+        case_id, subcase, predicted = entry
+        lead = next(
+            (e for e in (t.A, t.B, t.C) if int_valuation(z_n_value(t, e, 0), p) == predicted),
+            None,
         )
-    case_id, subcase, predicted = entry
-    lead = None
-    for cand in (t.A, t.B, t.C):
-        if all(
-            int_valuation(z_n_value(t, cand, n), p) == predicted
-            for n in range(window + 1)
-        ):
-            lead = cand
-            break
-    return PrimeCase(
-        prime=p,
-        case_id=case_id,
-        subcase=subcase,
-        predicted_z_valuation=predicted,
-        lead=lead,
-        delta=predicted - int_valuation(t.N, p),
-        window=window,
-        window_verified=lead is not None,
-    )
+        delta = predicted - int_valuation(t.N, p)
+    return PrimeCase(p, case_id, subcase, predicted, lead, delta)
 
 
-def _delta_for_lead(t: RepTriple, p: int, lead: int, window: int) -> int:
-    """delta for the given leading role, or FormulaInapplicable."""
+def _delta_for_lead(t: RepTriple, p: int, lead: int) -> int:
+    """delta for the given leading role, or FormulaInapplicable.
+
+    The hypothesis nu_p(N) > 2 nu_p(z_0) gives nu_p(z_0) < nu_p(N), so
+    nu_p(z_n) = nu_p(z_0) for every n.
+    """
     vz = int_valuation(z_n_value(t, lead, 0), p)
-    if vz == INFINITY or any(
-        int_valuation(z_n_value(t, lead, n), p) != vz for n in range(1, window + 1)
-    ):
-        raise FormulaInapplicable(
-            f"nu_{p}(z_n) is not constant over the window for lead {lead}"
-        )
     nu_level = int_valuation(t.N, p)
     if not nu_level > 2 * vz:
         raise FormulaInapplicable(
@@ -243,8 +218,8 @@ def _law_sums(t: RepTriple, p: int, lead: int, n_max: int) -> Iterator[int]:
 def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     """The law's value n*delta - nu_p(prod_{k<=n} k lambda(k)).
 
-    Raises FormulaInapplicable when no covered case applies, the z-valuations
-    are not constant for this lead, or the hypothesis fails.
+    Raises FormulaInapplicable when no covered case applies or the hypothesis
+    fails for this lead.
 
     >>> from .reps import validate_triple
     >>> predicted_valuation(validate_triple(1, 3, 7, 11), 11, 1, 1)
@@ -255,21 +230,23 @@ def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     case = classify_prime(t, p)
     if case.case_id is None:
         raise FormulaInapplicable(f"no covered case for p = {p} at level {t.N}")
-    delta = _delta_for_lead(t, p, lead, case.window)
+    delta = _delta_for_lead(t, p, lead)
     *_, acc = _law_sums(t, p, lead, n)
     return n * delta - acc
 
 
 def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> ValuationReport:
-    """Compare observed nu_p(a(n)) against the law for 1 <= n <= n_max."""
+    """Compare observed nu_p(a(n)) against the law for 1 <= n <= n_max (>= 1)."""
+    if n_max < 1:
+        raise ValueError(f"verify_formula needs n_max >= 1, got {n_max}")
     case = classify_prime(t, p)
     lead = case.lead if case.lead is not None else t.A
-    applicable = case.case_id is not None and case.window_verified
+    applicable = case.lead is not None
     reason: Optional[str] = None
     delta = 0
     if applicable:
         try:
-            delta = _delta_for_lead(t, p, lead, case.window)
+            delta = _delta_for_lead(t, p, lead)
         except FormulaInapplicable as exc:
             applicable = False
             reason = str(exc)
@@ -374,8 +351,10 @@ def _late_new_minimum(s: PrimeStats, T: int) -> bool:
 
 
 def denominator_profile(f: QExpansion, n_max: Optional[int] = None) -> DenominatorProfile:
-    """Profile the denominators of a series through n_max coefficients."""
+    """Profile the denominators of a series through n_max (>= 0) coefficients."""
     T = f.order if n_max is None else n_max
+    if T < 0:
+        raise ValueError(f"denominator_profile needs n_max >= 0, got {T}")
     if T > f.order:
         raise ValueError(f"series valid to order {f.order}, requested {T}")
     coeffs = f.coeffs[: T + 1]

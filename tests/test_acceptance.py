@@ -151,7 +151,7 @@ def test_criterion_06_criterion_consistency() -> None:
             for t in enumerate_level(level):
                 for p in ubd_criterion(t.N):
                     case = classify_prime(t, p)
-                    assert case.case_id is not None and case.window_verified
+                    assert case.case_id is not None and case.lead is not None
                     vz0 = int_valuation(z_n_value(t, case.lead, 0), p)
                     assert int_valuation(t.N, p) > 2 * vz0
                     assert verify_formula(t, p, n_max=100).verdict == "formula-verified"

@@ -70,6 +70,9 @@ def test_int_valuation():
     assert int_valuation(49, 7) == 2
     assert int_valuation(1, 5) == 0
     assert int_valuation(0, 5) == INFINITY
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError):
+            int_valuation(5, p)
 
 
 def test_valuation_p_rationals():
@@ -122,6 +125,8 @@ def test_sigma_k():
         assert sigma_k(5, n) == oracle_sigma(5, n)
     with pytest.raises(ValueError):
         sigma_k(1, 0)
+    with pytest.raises(ValueError):
+        sigma_k(-1, 6)
 
 
 def test_eisenstein_normalization_constants():

@@ -186,6 +186,8 @@ def test_output_file(tmp_path, capsys) -> None:
         ["valuations", "--triple", "1,3,7,11", "--prime", "11", "--terms", "0"],
         ["bogus"],
         [],
+        ["eisenstein", "--weight", "4", "--terms", "1",
+         "--output", "missing-directory/out.txt"],
     ],
 )
 def test_invalid_inputs_exit_one(argv, capsys) -> None:

@@ -51,6 +51,8 @@ def test_z_n_matches_scaled_indicial_shift() -> None:
             for n in range(6):
                 expected = t.N**3 * phi_j(sys, 1, Fraction(lead, t.N) + n)
                 assert expected == z_n_value(t, lead, n)
+                if n:
+                    assert (expected - z_n_value(t, lead, 0)) % (24 * t.N * n) == 0
 
 
 # (triple, prime) -> (case_id, subcase, predicted, lead, delta)
@@ -78,7 +80,7 @@ def test_classifier_covered_pins(key) -> None:
     assert case.predicted_z_valuation == predicted
     assert case.lead == lead
     assert case.delta == delta
-    assert case.window_verified
+    assert case.lead is not None
     assert case.to_json_dict()["case"] == case_id
 
 
@@ -104,8 +106,32 @@ def test_classifier_uncovered_pins(tup, p) -> None:
     assert case.case_id is None
     assert case.lead is None
     assert case.predicted_z_valuation is None
-    assert not case.window_verified
     assert case.to_json_dict()["case"] == "not covered"
+
+
+def test_classifier_matches_periodic_oracle() -> None:
+    # z_n is an integer polynomial in n, so z_n mod p^(pred+1) has period
+    # p^(pred+1) and one period decides nu_p(z_n) == pred for every n.
+    seen = set()
+    for level in range(1, 61):
+        for t in enumerate_level(level):
+            for p, _ in prime_factors(level):
+                case = classify_prime(t, p)
+                if case.case_id is None:
+                    assert case.lead is None and case.delta is None
+                    continue
+                seen.add(case.case_id)
+                pred = case.predicted_z_valuation
+                assert pred < int_valuation(24 * level, p)
+                period = range(p ** (pred + 1))
+                lead = next(
+                    (e for e in (t.A, t.B, t.C)
+                     if all(int_valuation(z_n_value(t, e, n), p) == pred for n in period)),
+                    None,
+                )
+                assert case.lead == lead, (t, p)
+                assert case.delta == pred - int_valuation(level, p)
+    assert seen == set(range(1, 9))
 
 
 def test_classifier_validation() -> None:
@@ -125,7 +151,7 @@ def test_three_omega_case_constant_is_three() -> None:
         case = classify_prime(t, 3)
         assert case.case_id == 7
         assert case.predicted_z_valuation == 3
-        assert case.window_verified
+        assert case.lead is not None
         for lead in (t.A, t.B, t.C):
             vals = {int_valuation(z_n_value(t, lead, k), 3) for k in range(21)}
             assert vals == {3}
@@ -154,8 +180,8 @@ def test_predicted_valuation_inapplicability() -> None:
         predicted_valuation(validate_triple(2, 5, 20, 27), 3, 2, 1)
     with pytest.raises(FormulaInapplicable, match="no covered case"):
         predicted_valuation(validate_triple(1, 2, 4, 7), 7, 1, 1)
-    # Lead 0 of this covered triple has varying nu_7(z_n).
-    with pytest.raises(FormulaInapplicable, match="not constant"):
+    # Lead 0 of this covered triple has 7 | z_0, so the hypothesis fails.
+    with pytest.raises(FormulaInapplicable, match="hypothesis"):
         predicted_valuation(validate_triple(0, 1, 6, 7), 7, 0, 1)
     with pytest.raises(ValueError):
         predicted_valuation(validate_triple(1, 3, 7, 11), 11, 1, 0)
@@ -191,6 +217,9 @@ def test_verify_formula_inapplicable_reasons() -> None:
 
     with pytest.raises(ValueError):
         verify_formula(validate_triple(1, 2, 4, 7), 5, n_max=10)
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="n_max"):
+            verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=n_max)
 
 
 def test_valuation_report_json() -> None:
@@ -326,6 +355,9 @@ def test_denominator_profile_validation() -> None:
     series = QExpansion(exponent=Fraction(0), coeffs=(Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
         denominator_profile(series, n_max=5)
+    with pytest.raises(ValueError, match="n_max"):
+        denominator_profile(series, n_max=-1)
+    assert denominator_profile(series, n_max=0).window == 0
     assert denominator_profile(series, n_max=1).verdict == "all-integral"
 
 
@@ -334,8 +366,8 @@ def test_classifier_agrees_with_criterion_on_samples() -> None:
     # case whose formula hypothesis holds.
     for t in sample_triples(8, level_max=60):
         for p in ubd_criterion(t.N):
-            case = classify_prime(t, p, window=20)
+            case = classify_prime(t, p)
             assert case.case_id is not None
-            assert case.window_verified
+            assert case.lead is not None
             assert int_valuation(t.N, p) > 2 * case.predicted_z_valuation
             assert case.delta < 0
