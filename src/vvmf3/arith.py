@@ -4,7 +4,7 @@ Everything downstream computes with ``fractions.Fraction``: arbitrary
 precision, eagerly reduced, denominator always positive.  This module adds
 p-adic valuations with a proper infinity for zero, Bernoulli numbers via the
 classical recurrence, divisor power sums, and enough primality machinery
-(deterministic Miller-Rabin plus Pollard rho) to factor the integers that
+(Miller-Rabin, exact below 3.3e24, plus Pollard rho) to factor the integers that
 show up in coefficient denominators.
 """
 
@@ -49,13 +49,13 @@ def rational_str(x: RationalLike) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# Witness set giving deterministic Miller-Rabin for n < 3.3e24, far beyond
-# anything a level or coefficient denominator produces here.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as witnesses make Miller-Rabin deterministic below
+# 3,317,044,064,679,887,385,961,981; above that bound a composite can pass.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set).
+    """Miller-Rabin with the witnesses above: exact below their bound.
 
     >>> [p for p in range(20) if is_prime(p)]
     [2, 3, 5, 7, 11, 13, 17, 19]
@@ -127,15 +127,23 @@ def prime_factors(n: int) -> list[tuple[int, int]]:
 
 
 def int_valuation(n: int, p: int) -> ValuationValue:
-    """Exponent of p in n, for n an integer and p >= 2; INFINITY when n is 0."""
+    """Exponent of p in n, for n an integer and p >= 2; INFINITY when n is 0.
+
+    Tests p, p^2, p^4, ... while they divide n, then takes the binary digits
+    of the exponent from the top: O(log nu_p(n)) divisions, not nu_p(n).
+    """
     if p < 2:
         raise ValueError(f"int_valuation needs p >= 2, got {p}")
     if n == 0:
         return INFINITY
+    powers = [p]
+    while n % powers[-1] == 0:
+        powers.append(powers[-1] * powers[-1])
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for i in range(len(powers) - 2, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 2**i
     return v
 
 

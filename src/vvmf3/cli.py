@@ -34,7 +34,6 @@ from .mde import MDESystem, build_mde, component_series, derived_basis, minimal_
 from .qseries import QExpansion, eisenstein
 from .reps import (
     CharacterData,
-    InvalidTripleError,
     RepTriple,
     classify_triple,
     enumerate_level,
@@ -53,7 +52,7 @@ EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     """Invalid input; message names the violated requirement."""
 
 
@@ -102,10 +101,7 @@ def _parse_triple(text: str) -> RepTriple:
         a, b, c, n = (int(p) for p in parts)
     except ValueError:
         raise _CliError(f"--triple wants integers, got {text!r}") from None
-    try:
-        return validate_triple(a, b, c, n)
-    except InvalidTripleError as exc:
-        raise _CliError(str(exc)) from None
+    return validate_triple(a, b, c, n)
 
 
 def _series_rows(label: str, f: QExpansion) -> list[tuple[str, str]]:
@@ -169,10 +165,7 @@ def _cmd_valuations(args: argparse.Namespace) -> tuple[_Result, int]:
     t = _parse_triple(args.triple)
     if args.terms < 1:
         raise _CliError(f"--terms must be >= 1, got {args.terms}")
-    try:
-        report = verify_formula(t, args.prime, args.terms)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    report = verify_formula(t, args.prime, args.terms)
     json_obj = report.to_json_dict()
     header = ("n", "observed", "predicted")
     rows = list(report.rows)
@@ -248,13 +241,10 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:
-    try:
-        if args.family_kind == "gamma02":
-            result = gamma02_family(CharacterData.gamma02(args.M, args.A, args.x))
-        else:
-            result = gamma3_family(CharacterData.gamma3(args.x0, args.x1, args.x2))
-    except InvalidTripleError as exc:
-        raise _CliError(str(exc)) from None
+    if args.family_kind == "gamma02":
+        result = gamma02_family(CharacterData.gamma02(args.M, args.A, args.x))
+    else:
+        result = gamma3_family(CharacterData.gamma3(args.x0, args.x1, args.x2))
     json_obj = result.to_json_dict()
     t = result.triple
     params = result.params.to_json_dict()
@@ -274,10 +264,7 @@ def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:
 def _cmd_eisenstein(args: argparse.Namespace) -> tuple[_Result, int]:
     if args.terms < 0:
         raise _CliError(f"--terms must be >= 0, got {args.terms}")
-    try:
-        f = eisenstein(args.weight, args.terms)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    f = eisenstein(args.weight, args.terms)
     json_obj = {"weight": args.weight, "series": f.to_json_dict()}
     header = ("n", "coefficient")
     rows = [(n, f.coeffs[n]) for n in range(args.terms + 1)]
@@ -413,10 +400,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         result, code = args.handler(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except ValueError as exc:  # _CliError and the library's input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

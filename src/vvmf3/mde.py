@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Optional
 
 from .arith import RationalLike, rational_str
@@ -243,35 +245,40 @@ def lambda_n(t: RepTriple, lead: int, n: int) -> int:
     return val
 
 
-def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> QExpansion:
-    """One Frobenius solution q^(lead/N) (1 + sum a(n) q^n) of the system.
+def _frobenius(sys: MDESystem, lead: int, T: int) -> tuple[list[int], list[int]]:
+    """Integer core of the recursion: a(n) = anum[n] / (c[0] ... c[n]).
 
-    a(n) = -(1 / phi(lead/N + n)) * sum_{j<n} a(j) phi_{n-j}(lead/N + j),
-    evaluated entirely in integer arithmetic: with c_k = 6N k lambda(k) the
-    unreduced numerators A_n over denominators d_n = c_1 ... c_n obey a Horner
-    recurrence, and each coefficient reduces once at the end.
+    c[0] = 1 and c[k] = 6N k lambda(k); the unreduced numerators obey
+    anum[n] = -sum_{j<n} anum[j] (6N^3 phi_{n-j}(lead/N + j)) c[j+1] ... c[n-1],
+    evaluated as a Horner recurrence.  No Fraction is built.
     """
-    t = sys.triple
-    T = sys.order if order is None else order
     if T > sys.order:
         raise ValueError(f"system built to order {sys.order}, requested {T}")
+    t = sys.triple
     n_level = t.N
     h0, h1, h2 = sys.h0, sys.h1, sys.h2
     u = [lead + j * n_level for j in range(T + 1)]
     uu = [v * (v - n_level) for v in u]
-    c = [0] + [6 * n_level * k * lambda_n(t, lead, k) for k in range(1, T + 1)]
+    c = [1] + [6 * n_level * k * lambda_n(t, lead, k) for k in range(1, T + 1)]
     anum = [1]
-    coeffs = [Fraction(1)]
-    dprod = 1
     for n in range(1, T + 1):
         s = 0
         for j in range(n):
             m = n - j
             s = s * c[j] + anum[j] * (h2[m] * uu[j] + h1[m] * u[j] + h0[m])
         anum.append(-s)
-        dprod *= c[n]
-        coeffs.append(Fraction(-s, dprod))
-    return QExpansion(Fraction(lead, n_level), coeffs)
+    return anum, c
+
+
+def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> QExpansion:
+    """One Frobenius solution q^(lead/N) (1 + sum a(n) q^n) of the system.
+
+    a(n) = -(1 / phi(lead/N + n)) * sum_{j<n} a(j) phi_{n-j}(lead/N + j),
+    evaluated entirely in integer arithmetic by :func:`_frobenius`; each
+    coefficient reduces once at the end.
+    """
+    anum, c = _frobenius(sys, lead, sys.order if order is None else order)
+    return QExpansion(Fraction(lead, sys.triple.N), map(Fraction, anum, accumulate(c, mul)))
 
 
 def minimal_vector(sys: MDESystem, order: Optional[int] = None) -> MinimalVector:

@@ -14,7 +14,6 @@ modular derivative.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Union
 
 from .arith import RationalLike, bernoulli, rational_str, sigma_k
@@ -157,10 +156,15 @@ class QExpansion:
         return series
 
 
-@lru_cache(maxsize=None)
-def _eisenstein_coeffs(k: int, order: int) -> tuple[Fraction, ...]:
+# Eisenstein coefficients per weight, one list each; extended on demand.
+_EISENSTEIN: dict[int, list[Fraction]] = {}
+
+
+def _eisenstein_coeffs(k: int, order: int) -> list[Fraction]:
+    cs = _EISENSTEIN.setdefault(k, [Fraction(1)])
     factor = Fraction(-2 * k) / bernoulli(k)
-    return (Fraction(1),) + tuple(factor * sigma_k(k - 1, n) for n in range(1, order + 1))
+    cs.extend(factor * sigma_k(k - 1, n) for n in range(len(cs), order + 1))
+    return cs[: order + 1]
 
 
 def eisenstein(k: int, order: int) -> QExpansion:

@@ -9,6 +9,9 @@ exact law
     nu_p(a(n)) = n * delta - nu_p(prod_{k=1..n} k * lambda(k)),
 
 delta = nu_p(z_n) - nu_p(N) < 0, a strictly decreasing negative function of n.
+Observed valuations come from the integer recursion, a(n) = anum_n / (c_1 ... c_n)
+with c_k = 6N k lambda(k), as nu_p(anum_n) - sum_{k<=n} nu_p(c_k), and in those
+terms the law is equivalent to nu_p(anum_n) = n * (nu_p(z_0) + nu_p(6)).
 A prime passing the criterion below therefore certifies unbounded denominators
 at desk scale; the module also profiles observed denominators directly.
 """
@@ -17,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Optional
+from typing import Optional
 
-from .arith import INFINITY, ValuationValue, int_valuation, is_prime, prime_factors, valuation_p
-from .mde import build_mde, component_series, lambda_n
+from .arith import INFINITY, ValuationValue, int_valuation, is_prime, prime_factors
+from .mde import _frobenius, build_mde, lambda_n
 from .qseries import QExpansion
 from .reps import RepTriple, ubd_criterion
 
@@ -192,12 +195,17 @@ def classify_prime(t: RepTriple, p: int) -> PrimeCase:
     return PrimeCase(p, case_id, subcase, predicted, lead, delta)
 
 
-def _delta_for_lead(t: RepTriple, p: int, lead: int) -> int:
+def _delta_for_lead(t: RepTriple, case: PrimeCase, lead: Optional[int]) -> int:
     """delta for the given leading role, or FormulaInapplicable.
 
     The hypothesis nu_p(N) > 2 nu_p(z_0) gives nu_p(z_0) < nu_p(N), so
     nu_p(z_n) = nu_p(z_0) for every n.
     """
+    p = case.prime
+    if case.case_id is None:
+        raise FormulaInapplicable(f"no covered case for p = {p} at level {t.N}")
+    if lead is None:
+        raise FormulaInapplicable("no leading role attains the predicted constant z-valuation")
     vz = int_valuation(z_n_value(t, lead, 0), p)
     nu_level = int_valuation(t.N, p)
     if not nu_level > 2 * vz:
@@ -205,14 +213,6 @@ def _delta_for_lead(t: RepTriple, p: int, lead: int) -> int:
             f"hypothesis nu_p(N) > 2 nu_p(z_0) fails: {nu_level} <= {2 * vz}"
         )
     return vz - nu_level
-
-
-def _law_sums(t: RepTriple, p: int, lead: int, n_max: int) -> Iterator[int]:
-    """nu_p(prod_{k<=n} k lambda(k)) for n = 1, ..., n_max."""
-    return accumulate(
-        int_valuation(k, p) + int_valuation(lambda_n(t, lead, k), p)
-        for k in range(1, n_max + 1)
-    )
 
 
 def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
@@ -227,38 +227,30 @@ def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"predicted_valuation needs n >= 1, got {n}")
-    case = classify_prime(t, p)
-    if case.case_id is None:
-        raise FormulaInapplicable(f"no covered case for p = {p} at level {t.N}")
-    delta = _delta_for_lead(t, p, lead)
-    *_, acc = _law_sums(t, p, lead, n)
-    return n * delta - acc
+    delta = _delta_for_lead(t, classify_prime(t, p), lead)
+    return n * delta - sum(int_valuation(k * lambda_n(t, lead, k), p) for k in range(1, n + 1))
 
 
 def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> ValuationReport:
-    """Compare observed nu_p(a(n)) against the law for 1 <= n <= n_max (>= 1)."""
+    """Compare observed nu_p(a(n)) against the law for 1 <= n <= n_max (>= 1).
+
+    Both columns subtract d = sum_{k<=n} nu_p(c_k) from the numerator's
+    valuation: observed nu_p(anum_n), predicted n * (delta + nu_p(6N)).
+    """
     if n_max < 1:
         raise ValueError(f"verify_formula needs n_max >= 1, got {n_max}")
     case = classify_prime(t, p)
     lead = case.lead if case.lead is not None else t.A
-    applicable = case.lead is not None
-    reason: Optional[str] = None
-    delta = 0
-    if applicable:
-        try:
-            delta = _delta_for_lead(t, p, lead)
-        except FormulaInapplicable as exc:
-            applicable = False
-            reason = str(exc)
-    elif case.case_id is None:
-        reason = f"no covered case for p = {p} at level {t.N}"
-    else:
-        reason = "no leading role attains the predicted constant z-valuation"
+    try:
+        shift = _delta_for_lead(t, case, case.lead) + int_valuation(6 * t.N, p)
+        applicable, reason = True, None
+    except FormulaInapplicable as exc:
+        applicable, reason = False, str(exc)
 
-    comp = component_series(build_mde(t, n_max), lead, n_max)
+    anum, c = _frobenius(build_mde(t, n_max), lead, n_max)
     rows: list[tuple[int, ValuationValue, Optional[int]]] = [
-        (n, valuation_p(comp.coeffs[n], p), n * delta - acc if applicable else None)
-        for n, acc in enumerate(_law_sums(t, p, lead, n_max), 1)
+        (n, int_valuation(anum[n], p) - d, n * shift - d if applicable else None)
+        for n, d in enumerate(accumulate(int_valuation(ck, p) for ck in c[1:]), 1)
     ]
 
     if not applicable:
@@ -357,11 +349,10 @@ def denominator_profile(f: QExpansion, n_max: Optional[int] = None) -> Denominat
         raise ValueError(f"denominator_profile needs n_max >= 0, got {T}")
     if T > f.order:
         raise ValueError(f"series valid to order {f.order}, requested {T}")
-    coeffs = f.coeffs[: T + 1]
+    fracs = [(c.numerator, c.denominator) for c in f.coeffs[: T + 1]]
 
     primes: list[int] = []
-    for c in coeffs:
-        d = c.denominator
+    for _, d in fracs:
         for p in primes:
             while d % p == 0:
                 d //= p
@@ -369,7 +360,11 @@ def denominator_profile(f: QExpansion, n_max: Optional[int] = None) -> Denominat
             primes.extend(p for p, _ in prime_factors(d))
             primes.sort()
 
-    stats = tuple(_prime_stats(p, [valuation_p(c, p) for c in coeffs]) for p in primes)
+    # Each p is a known prime; a zero coefficient gets INFINITY from its numerator.
+    stats = tuple(
+        _prime_stats(p, [int_valuation(a, p) - int_valuation(d, p) for a, d in fracs])
+        for p in primes
+    )
     if not stats:
         verdict = "all-integral"
     elif any(_late_new_minimum(s, T) for s in stats):

@@ -38,6 +38,8 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(2047)  # 23 * 89, strong pseudoprime base 2
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+    # Strong pseudoprime to every prime base up to 37; base 41 exposes it.
+    assert not is_prime(318665857834031151167461)
 
 
 def test_prime_factors_known():
@@ -45,6 +47,7 @@ def test_prime_factors_known():
     assert prime_factors(1) == []
     assert prime_factors(2**10) == [(2, 10)]
     assert prime_factors(10**12 + 39) == [(10**12 + 39, 1)]
+    assert prime_factors(318665857834031151167461) == [(399165290221, 1), (798330580441, 1)]
 
 
 @given(st.integers(min_value=1, max_value=10**9))
@@ -70,6 +73,11 @@ def test_int_valuation():
     assert int_valuation(49, 7) == 2
     assert int_valuation(1, 5) == 0
     assert int_valuation(0, 5) == INFINITY
+    # Every exponent up to 1100, across the powers of two the search steps by.
+    for v in range(1101):
+        assert int_valuation(3 * 2**v, 2) == v
+        assert int_valuation(-(7**v) * 10, 7) == v
+    assert int_valuation(12, 4) == 1  # a composite base counts whole powers
     for p in (1, 0, -2):
         with pytest.raises(ValueError):
             int_valuation(5, p)

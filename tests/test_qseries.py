@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vvmf3.qseries
 from vvmf3.qseries import (
     QExpansion,
     eisenstein,
@@ -77,6 +78,15 @@ def test_eisenstein_matches_oracle():
         eisenstein(3, 5)
     with pytest.raises(ValueError):
         eisenstein(0, 5)
+
+
+def test_eisenstein_cache_falling_and_rising(monkeypatch):
+    # The per-weight lists grow on demand; every order reads a prefix.
+    monkeypatch.setattr(vvmf3.qseries, "_EISENSTEIN", {})
+    for order in (25, 3, 0, 12, 40, 7):
+        for k in (2, 4, 6, 10):
+            assert list(eisenstein(k, order).coeffs) == oracle_eisenstein(k, order)
+    assert [len(cs) for cs in vvmf3.qseries._EISENSTEIN.values()] == [41] * 4
 
 
 def test_pqr_normalization():

@@ -1,0 +1,29 @@
+"""sympy as an independent oracle for primality and factoring."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from vvmf3.arith import is_prime, prime_factors
+
+sympy = pytest.importorskip("sympy")
+
+# 399165290221 * 798330580441: a strong pseudoprime to every prime base up to 37.
+PSEUDOPRIME_37 = 318665857834031151167461
+
+
+@given(st.integers(min_value=1, max_value=10**18))
+@example(PSEUDOPRIME_37)
+@settings(max_examples=200, deadline=None)
+def test_is_prime_and_prime_factors_match_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+    assert prime_factors(n) == sorted(sympy.factorint(n).items())
+
+
+@given(st.integers(min_value=2**30, max_value=2**45), st.integers(min_value=2**30, max_value=2**45))
+@settings(max_examples=10, deadline=None)
+def test_prime_factors_of_two_large_primes_match_sympy(a, b):
+    # prevprime maps [2^30, 2^45] onto primes of 30 to 45 bits.
+    p, q = sympy.prevprime(a), sympy.prevprime(b)
+    assert not is_prime(p * q)
+    assert prime_factors(p * q) == sorted(sympy.factorint(p * q).items())

@@ -1,13 +1,15 @@
 """Prime classification, the valuation law, and denominator profiles."""
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import sample_triples
-from vvmf3.arith import INFINITY, int_valuation, prime_factors
-from vvmf3.mde import build_mde, component_series, phi_j
+from vvmf3.arith import INFINITY, int_valuation, prime_factors, valuation_p
+from vvmf3.mde import _frobenius, build_mde, component_series, phi_j
 import vvmf3.valuation
 from vvmf3.reps import enumerate_level, validate_triple
 from vvmf3.valuation import (
@@ -342,13 +344,31 @@ def test_denominator_profile_boundary_of_late_minimum() -> None:
 def test_verify_formula_mismatch_verdict(monkeypatch, doctor, verdict) -> None:
     t = validate_triple(1, 3, 7, 11)
     real = component_series(build_mde(t, 20), 1, 20)
-    doctored = QExpansion(real.exponent, doctor(list(real.coeffs)))
-    monkeypatch.setattr(
-        vvmf3.valuation, "component_series", lambda sys, lead, order: doctored
-    )
+    _, c = _frobenius(build_mde(t, 20), 1, 20)
+    # Numerators that put the doctored coefficients over the same c_0 ... c_n.
+    scaled = [a * d for a, d in zip(doctor(list(real.coeffs)), accumulate(c, mul))]
+    assert all(x.denominator == 1 for x in scaled)
+    anum = [x.numerator for x in scaled]
+    monkeypatch.setattr(vvmf3.valuation, "_frobenius", lambda sys, lead, order: (anum, c))
     report = verify_formula(t, 11, n_max=20)
     assert report.applicable
     assert report.verdict == verdict
+
+
+def test_verify_formula_observed_matches_reduced_coefficients() -> None:
+    # The integer path against the reduced Fractions it replaced, at every
+    # prime of every level N <= 30, covered or not.
+    for big_n in range(2, 31):
+        for t in enumerate_level(big_n):
+            mde = build_mde(t, 60)
+            coeffs = {}  # per lead
+            for p, _ in prime_factors(big_n):
+                report = verify_formula(t, p, n_max=60)
+                if report.lead not in coeffs:
+                    coeffs[report.lead] = component_series(mde, report.lead, 60).coeffs
+                assert [obs for _, obs, _ in report.rows] == [
+                    valuation_p(coeffs[report.lead][n], p) for n in range(1, 61)
+                ]
 
 
 def test_denominator_profile_validation() -> None:
