@@ -84,15 +84,31 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of an odd composite n (Floyd cycle, c sweep)."""
+    """One nontrivial factor of an odd composite n (Brent cycle, c sweep).
+
+    The differences are multiplied together mod n and take one gcd per batch
+    of 128; a batch whose gcd is n is replayed one step at a time.
+    """
     for c in range(1, 1000):
-        x = y = 2
-        d = 1
+        y, r, d = 2, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys, q = y, 1
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                d = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = math.gcd(abs(x - ys), n)
         if d != n:
             return d
     raise ArithmeticError(f"rho factorization failed for {n}")

@@ -245,15 +245,27 @@ def lambda_n(t: RepTriple, lead: int, n: int) -> int:
     return val
 
 
-def _frobenius(sys: MDESystem, lead: int, T: int) -> tuple[list[int], list[int]]:
+def _frobenius(
+    sys: MDESystem,
+    lead: int,
+    T: int,
+    modulus: Optional[int] = None,
+    window: Optional[int] = None,
+) -> tuple[list[int], list[int]]:
     """Integer core of the recursion: a(n) = anum[n] / (c[0] ... c[n]).
 
     c[0] = 1 and c[k] = 6N k lambda(k); the unreduced numerators obey
     anum[n] = -sum_{j<n} anum[j] (6N^3 phi_{n-j}(lead/N + j)) c[j+1] ... c[n-1],
     evaluated as a Horner recurrence.  No Fraction is built.
+
+    With a modulus, anum[n] is reduced mod it once per row; with a window w,
+    the sum runs over j >= n - w only, so the system need only reach order w.
+    Both are exact when every dropped term is 0 mod the modulus: the term of
+    j carries n - 1 - j factors c_k (see verify_formula).
     """
-    if T > sys.order:
-        raise ValueError(f"system built to order {sys.order}, requested {T}")
+    w = T if window is None else window
+    if min(w, T) > sys.order:
+        raise ValueError(f"system built to order {sys.order}, requested {min(w, T)}")
     t = sys.triple
     n_level = t.N
     h0, h1, h2 = sys.h0, sys.h1, sys.h2
@@ -263,10 +275,10 @@ def _frobenius(sys: MDESystem, lead: int, T: int) -> tuple[list[int], list[int]]
     anum = [1]
     for n in range(1, T + 1):
         s = 0
-        for j in range(n):
+        for j in range(max(0, n - w), n):
             m = n - j
             s = s * c[j] + anum[j] * (h2[m] * uu[j] + h1[m] * u[j] + h0[m])
-        anum.append(-s)
+        anum.append(-s if modulus is None else -s % modulus)
     return anum, c
 
 

@@ -235,21 +235,40 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
     """Compare observed nu_p(a(n)) against the law for 1 <= n <= n_max (>= 1).
 
     Both columns subtract d = sum_{k<=n} nu_p(c_k) from the numerator's
-    valuation: observed nu_p(anum_n), predicted n * (delta + nu_p(6N)).
+    valuation: observed nu_p(anum_n), predicted n * shift with
+    shift = delta + nu_p(6N).
+
+    When the law applies, anum_n mod p^K with K = n_max * shift + 1 decides
+    every row exactly, since each prediction is below K.  Every c_k has
+    nu_p(c_k) >= e = nu_p(6N) >= 1, so in the Horner sum for anum_n the terms
+    of j < n - w, w = ceil(K / e), vanish mod p^K and the recursion needs only
+    a window of w.  Should a residue miss its prediction, the exact recursion
+    reruns and supplies the observed column.
     """
     if n_max < 1:
         raise ValueError(f"verify_formula needs n_max >= 1, got {n_max}")
     case = classify_prime(t, p)
     lead = case.lead if case.lead is not None else t.A
+    nu_6n = int_valuation(6 * t.N, p)
     try:
-        shift = _delta_for_lead(t, case, case.lead) + int_valuation(6 * t.N, p)
+        shift = _delta_for_lead(t, case, case.lead) + nu_6n
         applicable, reason = True, None
     except FormulaInapplicable as exc:
         applicable, reason = False, str(exc)
 
-    anum, c = _frobenius(build_mde(t, n_max), lead, n_max)
+    anum = None
+    if applicable:
+        k = n_max * shift + 1
+        w = min(n_max, -(-k // nu_6n))
+        anum, c = _frobenius(build_mde(t, w), lead, n_max, p**k, w)
+        nu = [int_valuation(a, p) for a in anum]
+        if any(v != n * shift for n, v in enumerate(nu)):
+            anum = None
+    if anum is None:
+        anum, c = _frobenius(build_mde(t, n_max), lead, n_max)
+        nu = [int_valuation(a, p) for a in anum]
     rows: list[tuple[int, ValuationValue, Optional[int]]] = [
-        (n, int_valuation(anum[n], p) - d, n * shift - d if applicable else None)
+        (n, nu[n] - d, n * shift - d if applicable else None)
         for n, d in enumerate(accumulate(int_valuation(ck, p) for ck in c[1:]), 1)
     ]
 

@@ -21,6 +21,7 @@ def test_is_prime_and_prime_factors_match_sympy(n):
 
 
 @given(st.integers(min_value=2**30, max_value=2**45), st.integers(min_value=2**30, max_value=2**45))
+@example(2**45, 2**45 - 10**6)  # 35184372088777 * 35184371088793
 @settings(max_examples=10, deadline=None)
 def test_prime_factors_of_two_large_primes_match_sympy(a, b):
     # prevprime maps [2^30, 2^45] onto primes of 30 to 45 bits.

@@ -349,26 +349,83 @@ def test_verify_formula_mismatch_verdict(monkeypatch, doctor, verdict) -> None:
     scaled = [a * d for a, d in zip(doctor(list(real.coeffs)), accumulate(c, mul))]
     assert all(x.denominator == 1 for x in scaled)
     anum = [x.numerator for x in scaled]
-    monkeypatch.setattr(vvmf3.valuation, "_frobenius", lambda sys, lead, order: (anum, c))
+    moduli = []
+
+    def doctored(sys, lead, order, modulus=None, window=None):
+        moduli.append(modulus)
+        return anum, c
+
+    monkeypatch.setattr(vvmf3.valuation, "_frobenius", doctored)
     report = verify_formula(t, 11, n_max=20)
+    # The residues miss the law, so the exact recursion reruns.
+    assert moduli == [11, None]
     assert report.applicable
     assert report.verdict == verdict
 
 
-def test_verify_formula_observed_matches_reduced_coefficients() -> None:
-    # The integer path against the reduced Fractions it replaced, at every
-    # prime of every level N <= 30, covered or not.
-    for big_n in range(2, 31):
-        for t in enumerate_level(big_n):
-            mde = build_mde(t, 60)
-            coeffs = {}  # per lead
-            for p, _ in prime_factors(big_n):
-                report = verify_formula(t, p, n_max=60)
-                if report.lead not in coeffs:
-                    coeffs[report.lead] = component_series(mde, report.lead, 60).coeffs
-                assert [obs for _, obs, _ in report.rows] == [
-                    valuation_p(coeffs[report.lead][n], p) for n in range(1, 61)
-                ]
+# Beyond N <= 30: the exact path of cases 3a, 7 and 8 where the law is
+# inapplicable, and the window w > 1 where it applies with shift > 0
+# (case 6 at 54, 5 at 125, 3a at 343, 8 at 512, 6 and 7 at 2187).
+MODULAR_PINS = [
+    (0, 1, 7, 32), (0, 1, 48, 49), (1, 2, 46, 49), (1, 3, 45, 49),
+    (0, 1, 26, 54), (1, 4, 22, 54), (0, 1, 15, 64), (0, 1, 48, 98),
+    (1, 2, 46, 98), (1, 3, 45, 98), (0, 1, 124, 125), (1, 2, 122, 125),
+    (1, 2, 340, 343), (0, 1, 127, 512), (0, 1, 2186, 2187), (1, 4, 2182, 2187),
+]
+
+
+def test_verify_formula_modular_path_matches_exact_path() -> None:
+    # At every prime of every level N <= 30, covered or not, and of the pins:
+    # the rows against rows built from the exact recursion, the observed
+    # column against the reduced Fractions, and the windowed residues mod p^K
+    # against the exact numerators.
+    T = 60
+    triples = [t for big_n in range(2, 31) for t in enumerate_level(big_n)]
+    triples += [validate_triple(*tup) for tup in MODULAR_PINS]
+    windows = set()
+    for t in triples:
+        mde = build_mde(t, T)
+        exact = {}  # per lead
+        for p, _ in prime_factors(t.N):
+            report = verify_formula(t, p, n_max=T)
+            if report.lead not in exact:
+                exact[report.lead] = (
+                    _frobenius(mde, report.lead, T),
+                    component_series(mde, report.lead, T).coeffs,
+                )
+            (anum, c), coeffs = exact[report.lead]
+            shift = report.case.delta + int_valuation(6 * t.N, p) if report.applicable else None
+            expected = [
+                (n, int_valuation(anum[n], p) - d, n * shift - d if shift is not None else None)
+                for n, d in enumerate(accumulate(int_valuation(ck, p) for ck in c[1:]), 1)
+            ]
+            assert list(report.rows) == expected, (t, p)
+            assert [obs for _, obs, _ in report.rows] == [
+                valuation_p(coeffs[n], p) for n in range(1, T + 1)
+            ]
+            if shift is None:
+                continue
+            assert report.verdict == "formula-verified"
+            k = T * shift + 1
+            w = min(T, -(-k // int_valuation(6 * t.N, p)))
+            residues, _ = _frobenius(build_mde(t, w), report.lead, T, p**k, w)
+            assert residues == [a % p**k for a in anum], (t, p)
+            windows.add((report.case.case_id, shift, w))
+    assert {case_id for case_id, shift, w in windows if shift > 0 and w > 1} == {3, 5, 6, 7, 8}
+
+
+def test_verify_formula_stays_on_modular_path(monkeypatch) -> None:
+    moduli = []
+    real = vvmf3.valuation._frobenius
+
+    def spy(sys, lead, T, modulus=None, window=None):
+        moduli.append(modulus)
+        return real(sys, lead, T, modulus, window)
+
+    monkeypatch.setattr(vvmf3.valuation, "_frobenius", spy)
+    report = verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=1000)
+    assert report.verdict == "formula-verified"
+    assert moduli and None not in moduli
 
 
 def test_denominator_profile_validation() -> None:
