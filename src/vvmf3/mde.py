@@ -303,15 +303,19 @@ def minimal_vector(sys: MDESystem, order: Optional[int] = None) -> MinimalVector
 
 def _scaled_theta(f: QExpansion, depth: int) -> QExpansion:
     """q^depth * (d/dq)^depth applied to f: multiply the coefficient of
-    q^(r+n) by the falling factorial (r+n)(r+n-1)...(r+n-depth+1)."""
-    r = f.exponent
+    q^(r+n) by the falling factorial (r+n)(r+n-1)...(r+n-depth+1).
+
+    With r = A/N that factor is the integer prod_i (A + N(n-i)) over N^depth.
+    """
+    a, n_den = f.exponent.numerator, f.exponent.denominator
+    den = n_den**depth
     out = []
     for n, cn in enumerate(f.coeffs):
-        factor = Fraction(1)
+        falling = 1
         for i in range(depth):
-            factor *= r + n - i
-        out.append(factor * cn)
-    return QExpansion(r, out)
+            falling *= a + n_den * (n - i)
+        out.append(cn * Fraction(falling, den))
+    return QExpansion(f.exponent, out)
 
 
 def ode_residual(sys: MDESystem, f: QExpansion, order: Optional[int] = None) -> QExpansion:

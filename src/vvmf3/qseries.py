@@ -6,13 +6,15 @@ order: coefficients of q^(r+n) are exact for n <= T and unknown beyond.
 Arithmetic propagates the smallest valid order of its operands, so precision
 loss is always explicit.
 
-The module also provides the weight-k Eisenstein series, the rescaled series
-P, Q, R used by the differential-equation construction, and the weight-raising
-modular derivative.
+The module also provides the weight-k Eisenstein series (whose numerators
+build_mde reads to construct the differential equation), the rescaled series
+P, Q, R of the classical Ramanujan identities, and the weight-raising modular
+derivative.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -36,7 +38,7 @@ class QExpansion:
         exponent = Fraction(exponent)
         if not 0 <= exponent < 1:
             raise ValueError(f"leading exponent must lie in [0, 1), got {exponent}")
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not cs:
             raise ValueError("a QExpansion needs at least the constant coefficient")
         self._exponent = exponent
@@ -96,19 +98,38 @@ class QExpansion:
         return self + (-other)
 
     def __mul__(self, other: Union["QExpansion", RationalLike]) -> "QExpansion":
+        """Product of two series, or of a series and a scalar.
+
+        The series product is a Kronecker substitution.  Each operand is
+        brought to integers over the lcm of its denominators, a_i / la and
+        b_j / lb, and packed as signed k-bit digits into one int,
+        A = sum a_i 2^(k i).  One multiplication gives A B = sum c_n 2^(k n)
+        with c_n = sum_{i+j=n} a_i b_j, and the product coefficient is
+        c_n / (la lb).  k is the smallest multiple of 8 for which 2^(k-1)
+        exceeds every |a_i|, every |b_j| and the bound (order+1) max|a| max|b|
+        on |c_n|, so no digit spills into its neighbour.
+        """
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         if not isinstance(other, QExpansion):
             return NotImplemented
         order = min(self.order, other.order)
-        prod = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self._coeffs[: order + 1]):
-            if not a:
-                continue
-            for j in range(order + 1 - i):
-                b = other._coeffs[j]
-                if b:
-                    prod[i + j] += a * b
+        a, la = _integral(self._coeffs[: order + 1])
+        b, lb = _integral(other._coeffs[: order + 1])
+        ma, mb = max(map(abs, a)), max(map(abs, b))
+        width = max((order + 1) * ma * mb, ma, mb).bit_length() // 8 + 1  # bytes
+        half = 1 << (8 * width - 1)
+        size = width * (order + 1)
+        bias = int.from_bytes(half.to_bytes(width, "little") * (order + 1), "little")
+        product = (_pack(a, width, half) - bias) * (_pack(b, width, half) - bias)
+        # Adding half to every digit makes each one nonnegative, so the low
+        # order+1 digits are plain byte slices of one to_bytes call.
+        raw = ((product + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        den = la * lb
+        prod = [
+            Fraction(int.from_bytes(raw[i : i + width], "little") - half, den)
+            for i in range(0, size, width)
+        ]
         exponent = self._exponent + other._exponent
         if exponent >= 1:
             # Fold the integer part of the exponent into the series: one exact
@@ -154,6 +175,18 @@ class QExpansion:
                 f"{len(data['coeffs'])} coefficients"
             )
         return series
+
+
+def _integral(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers a_i and their common denominator l with coeffs[i] = a_i / l."""
+    l = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (l // c.denominator) for c in coeffs], l
+
+
+def _pack(digits: list[int], width: int, half: int) -> int:
+    """The int whose i-th digit of width bytes is digits[i] + half."""
+    raw = b"".join((d + half).to_bytes(width, "little") for d in digits)
+    return int.from_bytes(raw, "little")
 
 
 # Eisenstein coefficients per weight, one list each; extended on demand.

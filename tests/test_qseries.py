@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vvmf3.qseries
@@ -13,7 +13,7 @@ from vvmf3.qseries import (
     modular_derivative_iterate,
     pqr_series,
 )
-from conftest import oracle_eisenstein
+from conftest import _smulser, oracle_eisenstein
 
 
 def _series(exponent, coeffs):
@@ -181,3 +181,48 @@ def test_derivative_is_a_weight_k_derivation(f, k):
     lhs = modular_derivative(f * g, 2 * k)
     rhs = modular_derivative(f, k) * g + f * modular_derivative(g, k)
     assert lhs == rhs
+
+
+# Coefficients for the product oracle: small rationals, big integers and
+# rationals with denominators of hundreds of bits, of either sign.
+_coefficient = st.one_of(
+    st.fractions(min_value=Fraction(-50), max_value=Fraction(50)),
+    st.integers(min_value=-(2**300), max_value=2**300).map(Fraction),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**200), max_value=2**200),
+        st.integers(min_value=1, max_value=2**400),
+    ),
+)
+
+
+@st.composite
+def product_operand(draw):
+    # Exponents with denominators up to 12 make sums that wrap past 1.
+    den = draw(st.integers(min_value=1, max_value=12))
+    exponent = Fraction(draw(st.integers(min_value=0, max_value=den - 1)), den)
+    size = draw(st.sampled_from([1, 2, 5, 17, 64, 80]))
+    fill = draw(st.sampled_from(["mixed", "zero", "sparse"]))
+    if fill == "zero":
+        coeffs = [Fraction(0)] * size
+    else:
+        coeffs = draw(st.lists(_coefficient, min_size=size, max_size=size))
+        if fill == "sparse":
+            coeffs = [c if n % 7 == 0 else Fraction(0) for n, c in enumerate(coeffs)]
+    return QExpansion(exponent, coeffs)
+
+
+@given(product_operand(), product_operand())
+@example(QExpansion(0, [0]), QExpansion(0, [Fraction(257, 6)]))
+@example(QExpansion(0, [2**64 - 1] * 70), QExpansion(Fraction(1, 2), [-(2**64) + 1] * 66))
+@example(QExpansion(Fraction(5, 6), [Fraction(-1, 3)] * 64), QExpansion(Fraction(1, 2), [1, -1]))
+@settings(max_examples=150, deadline=None)
+def test_product_matches_cauchy_oracle(f, g):
+    h = f * g
+    prod = _smulser(list(f.coeffs), list(g.coeffs))
+    exponent = f.exponent + g.exponent
+    if exponent >= 1:
+        exponent, prod = exponent - 1, [Fraction(0)] + prod
+    assert h.exponent == exponent
+    assert list(h.coeffs) == prod
+    assert all(type(c) is Fraction for c in h.coeffs)

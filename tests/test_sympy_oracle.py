@@ -1,10 +1,12 @@
-"""sympy as an independent oracle for primality and factoring."""
+"""sympy as an independent oracle for the number theory in vvmf3.arith."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vvmf3.arith import is_prime, prime_factors
+from vvmf3.arith import bernoulli, is_prime, prime_factors, sigma_k
 
 sympy = pytest.importorskip("sympy")
 
@@ -28,3 +30,16 @@ def test_prime_factors_of_two_large_primes_match_sympy(a, b):
     p, q = sympy.prevprime(a), sympy.prevprime(b)
     assert not is_prime(p * q)
     assert prime_factors(p * q) == sorted(sympy.factorint(p * q).items())
+
+
+def test_bernoulli_matches_sympy():
+    for k in range(2, 121, 2):
+        assert bernoulli(k) == Fraction(str(sympy.bernoulli(k)))
+
+
+@given(st.integers(min_value=0, max_value=13), st.integers(min_value=1, max_value=10**6))
+@example(0, 1)
+@example(11, 720720)
+@settings(max_examples=200, deadline=None)
+def test_sigma_k_matches_sympy(k, n):
+    assert sigma_k(k, n) == sympy.divisor_sigma(n, k)
