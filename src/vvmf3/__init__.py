@@ -35,8 +35,6 @@ from .qseries import (
     QExpansion,
     eisenstein,
     modular_derivative,
-    modular_derivative_iterate,
-    pqr_series,
 )
 from .reps import (
     CharacterData,
@@ -100,12 +98,10 @@ __all__ = [
     "lambda_n",
     "minimal_vector",
     "modular_derivative",
-    "modular_derivative_iterate",
     "ode_residual",
     "phi_j",
     "predicted_valuation",
     "prime_factors",
-    "pqr_series",
     "rational_str",
     "sigma_k",
     "ubd_criterion",

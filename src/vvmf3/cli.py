@@ -15,6 +15,11 @@ Subcommands and their CSV columns:
 Output format defaults to `table`; override with --format or the
 VVMF3_FORMAT environment variable.  Exit codes: 0 success, 1 invalid input,
 2 formula mismatch reported by `valuations`.
+
+Each subcommand computes and checks its result before anything is written, so
+invalid input never opens --output; then only the requested format is built.
+`scan --format csv` streams its rows in constant memory.  `table` holds every
+row to size its columns, and `json` holds every row to write `count` first.
 """
 
 from __future__ import annotations
@@ -27,13 +32,14 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .arith import rational_str
-from .mde import MDESystem, build_mde, component_series, derived_basis, minimal_vector
-from .qseries import QExpansion, eisenstein
+from .mde import build_mde, derived_basis, minimal_vector
+from .qseries import eisenstein
 from .reps import (
     CharacterData,
+    Classification,
     RepTriple,
     classify_triple,
     enumerate_level,
@@ -64,31 +70,40 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class _Result:
-    """One result: the JSON object, and the rows that CSV and the table share.
+    """One computed result and its two views, built only when rendered.
 
-    The table prints ``preamble`` lines above the aligned rows.
+    ``json_obj()`` builds the JSON object; ``rows`` is the iterable that CSV
+    and the table share.  The table prints ``preamble`` lines above the
+    aligned rows.
     """
 
-    json_obj: object
+    json_obj: Callable[[], object]
     header: tuple[str, ...]
-    rows: list[tuple]
+    rows: Iterable[tuple]
     preamble: list[str] = field(default_factory=list)
 
 
 def _fmt(x: object) -> str:
-    if isinstance(x, Fraction):
+    # Exact type tests: isinstance against Fraction goes through ABCMeta.
+    if type(x) is Fraction:
         return rational_str(x)
-    if isinstance(x, float):
+    if type(x) is float:
         return "inf" if x == float("inf") else str(x)
     return "" if x is None else str(x)
 
 
-def _aligned(header: Sequence[str], rows: Sequence[Sequence[object]]) -> Iterator[str]:
+def _spaced(xs: Iterable[object]) -> str:
+    """Rationals (or ints) joined by single spaces."""
+    return " ".join(map(rational_str, xs))
+
+
+def _label(t: RepTriple) -> str:
+    return f"({t.A},{t.B},{t.C},{t.N})"
+
+
+def _aligned(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
     cells = [[_fmt(v) for v in row] for row in rows]
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in cells)) if cells else len(header[i])
-        for i in range(len(header))
-    ]
+    widths = [max(map(len, column)) for column in zip(header, *cells)]
     for row in [header, *cells]:
         yield "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
 
@@ -104,99 +119,92 @@ def _parse_triple(text: str) -> RepTriple:
     return validate_triple(a, b, c, n)
 
 
-def _series_rows(label: str, f: QExpansion) -> list[tuple[str, str]]:
-    return [
-        (f"{label}.exponent", _fmt(f.exponent)),
-        (f"{label}.coeffs", " ".join(rational_str(c) for c in f.coeffs)),
-    ]
+def _terms(args: argparse.Namespace, least: int) -> int:
+    if args.terms < least:
+        raise _CliError(f"--terms must be >= {least}, got {args.terms}")
+    return args.terms
+
+
+# The classification cells that `classify` (one per row) and `scan` (one per
+# column) both print.
+_CLASS_FIELDS = ("small_level_congruence", "level7_primitive", "gamma02_pattern_M",
+                 "ubd_primes")
+
+
+def _class_cells(cls: Classification) -> tuple[object, ...]:
+    return (cls.congruence_by_small_level, cls.primitive_level7, cls.gamma02_pattern,
+            _spaced(cls.ubd_primes))
+
+
+def _class_json(t: RepTriple, cls: Classification) -> dict:
+    return {"triple": t.to_json_dict(), "classification": cls.to_json_dict()}
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> tuple[_Result, int]:
     t = _parse_triple(args.triple)
-    if args.terms < 0:
-        raise _CliError(f"--terms must be >= 0, got {args.terms}")
-    mv = minimal_vector(build_mde(t, args.terms))
-    comps = mv.components
-    json_obj = {
-        "triple": t.to_json_dict(),
-        "terms": args.terms,
-        "components": [c.to_json_dict() for c in comps],
-    }
-    rows = [
-        (n, comps[0].coeffs[n], comps[1].coeffs[n], comps[2].coeffs[n])
-        for n in range(args.terms + 1)
-    ]
+    terms = _terms(args, 0)
+    comps = minimal_vector(build_mde(t, terms)).components
+
+    def json_obj() -> dict:
+        return {"triple": t.to_json_dict(), "terms": terms,
+                "components": [c.to_json_dict() for c in comps]}
+
+    rows = zip(range(terms + 1), *(c.coeffs for c in comps))
     header = ("n", "component_A", "component_B", "component_C")
     preamble = [
-        f"triple ({t.A},{t.B},{t.C},{t.N}), weight {_fmt(t.k0)}, "
+        f"triple {_label(t)}, weight {_fmt(t.k0)}, "
         f"exponents {', '.join(_fmt(c.exponent) for c in comps)}",
         "",
     ]
     return _Result(json_obj, header, rows, preamble), EXIT_OK
 
 
-def _param_rows(sys_: MDESystem) -> list[tuple[str, object]]:
-    head = 6
+def _cmd_params(args: argparse.Namespace) -> tuple[_Result, int]:
+    t = _parse_triple(args.triple)
+    sys_ = build_mde(t, 6)
     rows: list[tuple[str, object]] = [
-        ("k0", sys_.triple.k0),
+        ("k0", t.k0),
         ("x0", sys_.x0),
         ("x4", sys_.x4),
         ("x6", sys_.x6),
         ("alpha4", sys_.alpha4),
         ("alpha6", sys_.alpha6),
+        *((f"{label}_head", _spaced(g.coeffs[:7]))
+          for label, g in (("g2", sys_.g2), ("g1", sys_.g1), ("g0", sys_.g0))),
     ]
-    for label, g in (("g2", sys_.g2), ("g1", sys_.g1), ("g0", sys_.g0)):
-        rows.append(
-            (f"{label}_head", " ".join(rational_str(c) for c in g.coeffs[: head + 1]))
-        )
-    return rows
 
+    def json_obj() -> dict:
+        fields = {k: _fmt(v) if type(v) is Fraction else v for k, v in rows}
+        return {"triple": t.to_json_dict(), **fields}
 
-def _cmd_params(args: argparse.Namespace) -> tuple[_Result, int]:
-    t = _parse_triple(args.triple)
-    sys_ = build_mde(t, 6)
-    rows = _param_rows(sys_)
-    json_obj = {"triple": t.to_json_dict()}
-    json_obj.update({k: _fmt(v) if isinstance(v, Fraction) else v for k, v in rows})
     return _Result(json_obj, ("field", "value"), rows), EXIT_OK
 
 
 def _cmd_valuations(args: argparse.Namespace) -> tuple[_Result, int]:
     t = _parse_triple(args.triple)
-    if args.terms < 1:
-        raise _CliError(f"--terms must be >= 1, got {args.terms}")
-    report = verify_formula(t, args.prime, args.terms)
-    json_obj = report.to_json_dict()
-    header = ("n", "observed", "predicted")
-    rows = list(report.rows)
+    report = verify_formula(t, args.prime, _terms(args, 1))
     preamble = [
-        f"triple ({t.A},{t.B},{t.C},{t.N})  prime {report.prime}  lead {report.lead}",
-        f"case {json_obj['case']['case']}  delta {_fmt(report.case.delta)}  "
+        f"triple {_label(t)}  prime {report.prime}  lead {report.lead}",
+        f"case {report.case.to_json_dict()['case']}  delta {_fmt(report.case.delta)}  "
         f"verdict {report.verdict}",
         "",
     ]
-    code = (
-        EXIT_MISMATCH
-        if report.applicable and report.verdict != "formula-verified"
-        else EXIT_OK
-    )
-    return _Result(json_obj, header, rows, preamble), code
+    mismatch = report.applicable and report.verdict != "formula-verified"
+    header = ("n", "observed", "predicted")
+    result = _Result(report.to_json_dict, header, report.rows, preamble)
+    return result, EXIT_MISMATCH if mismatch else EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[_Result, int]:
     t = _parse_triple(args.triple)
     cls = classify_triple(t)
-    json_obj = {"triple": t.to_json_dict(), "classification": cls.to_json_dict()}
     rows: list[tuple[str, object]] = [
-        ("triple", f"({t.A},{t.B},{t.C},{t.N})"),
+        ("triple", _label(t)),
         ("k0", t.k0),
-        ("small_level_congruence", cls.congruence_by_small_level),
-        ("level7_primitive", cls.primitive_level7),
-        ("gamma02_pattern_M", cls.gamma02_pattern),
-        ("ubd_primes", " ".join(str(p) for p in cls.ubd_primes)),
+        *zip(_CLASS_FIELDS, _class_cells(cls)),
         ("notes", "; ".join(cls.notes)),
     ]
-    return _Result(json_obj, ("field", "value"), rows), EXIT_OK
+    return _Result(lambda: _class_json(t, cls), ("field", "value"), rows), EXIT_OK
 
 
 def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -204,39 +212,18 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
     hi = args.level_max if args.level_max is not None else lo
     if lo < 1 or hi < lo:
         raise _CliError(f"--level/--level-max must satisfy 1 <= N <= M, got {lo}, {hi}")
-    header = (
-        "N",
-        "A",
-        "B",
-        "C",
-        "k0",
-        "small_level_congruence",
-        "level7_primitive",
-        "gamma02_pattern_M",
-        "ubd_primes",
-    )
-    rows: list[tuple] = []
-    json_rows = []
-    for level in range(lo, hi + 1):
-        for t in enumerate_level(level):
-            cls = classify_triple(t)
-            rows.append(
-                (
-                    t.N,
-                    t.A,
-                    t.B,
-                    t.C,
-                    t.k0,
-                    cls.congruence_by_small_level,
-                    cls.primitive_level7,
-                    cls.gamma02_pattern,
-                    " ".join(str(p) for p in cls.ubd_primes),
-                )
-            )
-            json_rows.append(
-                {"triple": t.to_json_dict(), "classification": cls.to_json_dict()}
-            )
-    json_obj = {"level": lo, "level_max": hi, "count": len(rows), "rows": json_rows}
+
+    def pairs() -> Iterator[tuple[RepTriple, Classification]]:
+        for level in range(lo, hi + 1):
+            for t in enumerate_level(level):
+                yield t, classify_triple(t)
+
+    def json_obj() -> dict:
+        rows = [_class_json(t, cls) for t, cls in pairs()]
+        return {"level": lo, "level_max": hi, "count": len(rows), "rows": rows}
+
+    header = ("N", "A", "B", "C", "k0", *_CLASS_FIELDS)
+    rows = ((t.N, t.A, t.B, t.C, t.k0, *_class_cells(cls)) for t, cls in pairs())
     return _Result(json_obj, header, rows), EXIT_OK
 
 
@@ -245,60 +232,56 @@ def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:
         result = gamma02_family(CharacterData.gamma02(args.M, args.A, args.x))
     else:
         result = gamma3_family(CharacterData.gamma3(args.x0, args.x1, args.x2))
-    json_obj = result.to_json_dict()
     t = result.triple
     params = result.params.to_json_dict()
     rows: list[tuple[str, object]] = [
         ("family", result.family),
         ("params", " ".join(f"{k}={v}" for k, v in params.items() if k != "family")),
-        ("exponents", " ".join(_fmt(e) for e in result.exponents)),
-        ("triple", f"({t.A},{t.B},{t.C},{t.N})"),
+        ("exponents", _spaced(result.exponents)),
+        ("triple", _label(t)),
         ("k0", t.k0),
         ("formula_level", result.formula_level),
         ("pattern_M", result.finite_image_pattern_m),
+        *((f"chi({k})", _fmt(v)) for k, v in result.chi_exponents.items()),
     ]
-    rows.extend((f"chi({k})", _fmt(v)) for k, v in result.chi_exponents.items())
-    return _Result(json_obj, ("field", "value"), rows), EXIT_OK
+    return _Result(result.to_json_dict, ("field", "value"), rows), EXIT_OK
 
 
 def _cmd_eisenstein(args: argparse.Namespace) -> tuple[_Result, int]:
-    if args.terms < 0:
-        raise _CliError(f"--terms must be >= 0, got {args.terms}")
-    f = eisenstein(args.weight, args.terms)
-    json_obj = {"weight": args.weight, "series": f.to_json_dict()}
-    header = ("n", "coefficient")
-    rows = [(n, f.coeffs[n]) for n in range(args.terms + 1)]
-    return _Result(json_obj, header, rows), EXIT_OK
+    f = eisenstein(args.weight, _terms(args, 0))
+
+    def json_obj() -> dict:
+        return {"weight": args.weight, "series": f.to_json_dict()}
+
+    return _Result(json_obj, ("n", "coefficient"), enumerate(f.coeffs)), EXIT_OK
 
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[_Result, int]:
     t = _parse_triple(args.triple)
-    if args.terms < 0:
-        raise _CliError(f"--terms must be >= 0, got {args.terms}")
-    sys_ = build_mde(t, args.terms)
+    sys_ = build_mde(t, _terms(args, 0))
     basis = derived_basis(sys_, minimal_vector(sys_))
-    json_obj = {
-        "triple": t.to_json_dict(),
-        "f0": [c.to_json_dict() for c in basis.f0.components],
-        "df0": [c.to_json_dict() for c in basis.first],
-        "d2f0": [c.to_json_dict() for c in basis.second],
-        "matrix": [[rational_str(v) for v in row] for row in basis.matrix],
-        "det": rational_str(basis.determinant),
-        "vandermonde": rational_str(basis.vandermonde),
-    }
-    rows: list[tuple[str, object]] = []
-    for label, comps in (
-        ("f0", basis.f0.components),
-        ("df0", basis.first),
-        ("d2f0", basis.second),
-    ):
-        for part, series in zip("ABC", comps):
-            rows.extend(_series_rows(f"{label}.{part}", series))
-    for i, row in enumerate(basis.matrix):
-        rows.append((f"matrix.row{i}", " ".join(rational_str(v) for v in row)))
-    rows.append(("det", basis.determinant))
-    rows.append(("vandermonde", basis.vandermonde))
-    return _Result(json_obj, ("field", "value"), rows), EXIT_OK
+    groups = (("f0", basis.f0.components), ("df0", basis.first), ("d2f0", basis.second))
+
+    def json_obj() -> dict:
+        return {
+            "triple": t.to_json_dict(),
+            **{label: [c.to_json_dict() for c in comps] for label, comps in groups},
+            "matrix": [[rational_str(v) for v in row] for row in basis.matrix],
+            "det": rational_str(basis.determinant),
+            "vandermonde": rational_str(basis.vandermonde),
+        }
+
+    def rows() -> Iterator[tuple[str, object]]:
+        for label, comps in groups:
+            for part, f in zip("ABC", comps):
+                yield f"{label}.{part}.exponent", _fmt(f.exponent)
+                yield f"{label}.{part}.coeffs", _spaced(f.coeffs)
+        for i, row in enumerate(basis.matrix):
+            yield f"matrix.row{i}", _spaced(row)
+        yield "det", basis.determinant
+        yield "vandermonde", basis.vandermonde
+
+    return _Result(json_obj, ("field", "value"), rows()), EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -306,32 +289,30 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=FORMATS, default=None,
                         help=f"output format (default: ${FORMAT_ENV_VAR} or table)")
     common.add_argument("--output", default=None, help="write output to this path")
+    triple = argparse.ArgumentParser(add_help=False, parents=[common])
+    triple.add_argument("--triple", required=True)
 
     parser = _Parser(prog="vvmf3", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("coeffs", parents=[common],
+    p = sub.add_parser("coeffs", parents=[triple],
                        help="minimal vector coefficients via the recursion")
-    p.add_argument("--triple", required=True)
     p.add_argument("--terms", type=int, required=True)
     p.set_defaults(handler=_cmd_coeffs)
 
-    p = sub.add_parser("params", parents=[common],
+    p = sub.add_parser("params", parents=[triple],
                        help="differential equation data for a triple")
-    p.add_argument("--triple", required=True)
     p.set_defaults(handler=_cmd_params)
 
-    p = sub.add_parser("valuations", parents=[common],
+    p = sub.add_parser("valuations", parents=[triple],
                        help="observed vs predicted p-adic valuations")
-    p.add_argument("--triple", required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--terms", type=int, default=100)
     p.set_defaults(handler=_cmd_valuations)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[triple],
                        help="representation classification and UBD primes")
-    p.add_argument("--triple", required=True)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("scan", parents=[common],
@@ -359,9 +340,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--terms", type=int, required=True)
     p.set_defaults(handler=_cmd_eisenstein)
 
-    p = sub.add_parser("basis", parents=[common],
+    p = sub.add_parser("basis", parents=[triple],
                        help="minimal vector, its derived forms, and det(B)")
-    p.add_argument("--triple", required=True)
     p.add_argument("--terms", type=int, required=True)
     p.set_defaults(handler=_cmd_basis)
 
@@ -370,13 +350,12 @@ def _build_parser() -> _Parser:
 
 def _render(result: _Result, fmt: str, out: TextIO) -> None:
     if fmt == "json":
-        json.dump(result.json_obj, out, indent=2)
+        json.dump(result.json_obj(), out, indent=2)
         out.write("\n")
     elif fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(result.header)
-        for row in result.rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in result.rows)
     else:
         for line in chain(result.preamble, _aligned(result.header, result.rows)):
             out.write(line + "\n")

@@ -7,9 +7,8 @@ Arithmetic propagates the smallest valid order of its operands, so precision
 loss is always explicit.
 
 The module also provides the weight-k Eisenstein series (whose numerators
-build_mde reads to construct the differential equation), the rescaled series
-P, Q, R of the classical Ramanujan identities, and the weight-raising modular
-derivative.
+build_mde reads to construct the differential equation) and the
+weight-raising modular derivative.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ __all__ = [
     "QExpansion",
     "eisenstein",
     "modular_derivative",
-    "modular_derivative_iterate",
-    "pqr_series",
 ]
 
 
@@ -217,15 +214,6 @@ def eisenstein(k: int, order: int) -> QExpansion:
     return QExpansion(0, _eisenstein_coeffs(k, order))
 
 
-def pqr_series(order: int) -> tuple[QExpansion, QExpansion, QExpansion]:
-    """The rescaled weight 2, 4, 6 series P = -E2/12, Q = E4/144, R = -E6/432."""
-    return (
-        eisenstein(2, order).scale(Fraction(-1, 12)),
-        eisenstein(4, order).scale(Fraction(1, 144)),
-        eisenstein(6, order).scale(Fraction(-1, 432)),
-    )
-
-
 def modular_derivative(f: QExpansion, k: RationalLike, order: int | None = None) -> QExpansion:
     """Weight-k modular derivative D_k f = theta(f) - (k/12) E2 f.
 
@@ -241,20 +229,4 @@ def modular_derivative(f: QExpansion, k: RationalLike, order: int | None = None)
     r = f.exponent
     theta = QExpansion(r, ((r + n) * c for n, c in enumerate(f.coeffs[: t + 1])))
     return theta + (eisenstein(2, t) * f.truncate(t)).scale(Fraction(k) / -12)
-
-
-def modular_derivative_iterate(
-    f: QExpansion, k: RationalLike, n: int, order: int | None = None
-) -> QExpansion:
-    """n-fold modular derivative starting at weight k; the weight rises by 2
-    at every step, so this is D_{k+2(n-1)} o ... o D_{k+2} o D_k."""
-    if n < 0:
-        raise ValueError(f"iteration count must be >= 0, got {n}")
-    t = f.order if order is None else order
-    out = f.truncate(t)
-    weight = Fraction(k)
-    for _ in range(n):
-        out = modular_derivative(out, weight, t)
-        weight += 2
-    return out
 

@@ -379,9 +379,11 @@ def denominator_profile(f: QExpansion, n_max: Optional[int] = None) -> Denominat
             primes.extend(p for p, _ in prime_factors(d))
             primes.sort()
 
-    # Each p is a known prime; a zero coefficient gets INFINITY from its numerator.
+    # Each p is a known prime.  In a reduced a/d, p divides at most one of a
+    # and d, so one valuation decides; a zero a has d = 1 and gets INFINITY.
     stats = tuple(
-        _prime_stats(p, [int_valuation(a, p) - int_valuation(d, p) for a, d in fracs])
+        _prime_stats(p, [-int_valuation(d, p) if d % p == 0 else int_valuation(a, p)
+                         for a, d in fracs])
         for p in primes
     )
     if not stats:

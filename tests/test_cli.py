@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import sys
 
 import pytest
 
@@ -106,6 +107,38 @@ def test_scan_csv(capsys) -> None:
     assert all(r[0] == "7" for r in rows[1:])
 
 
+def test_scan_csv_and_json_agree(capsys) -> None:
+    argv = ["scan", "--level", "1", "--level-max", "30"]
+    assert run(argv + ["--format", "csv"]) == EXIT_OK
+    header, *csv_rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert run(argv + ["--format", "json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert data["count"] == len(csv_rows) == len(data["rows"]) > 0
+
+    def cell(v) -> str:
+        return "" if v is None else str(v)
+
+    for row, obj in zip(csv_rows, data["rows"]):
+        t, cls = obj["triple"], obj["classification"]
+        assert dict(zip(header, row)) == {
+            "N": str(t["N"]), "A": str(t["A"]), "B": str(t["B"]), "C": str(t["C"]),
+            "k0": str(t["k0"]),
+            "small_level_congruence": cell(cls["congruence_by_small_level"]),
+            "level7_primitive": cell(cls["primitive_level7"]),
+            "gamma02_pattern_M": cell(cls["gamma02_pattern"]),
+            "ubd_primes": " ".join(map(str, cls["ubd_primes"])),
+        }
+
+
+def test_scan_csv_builds_no_json(capsys, monkeypatch) -> None:
+    def fail(*args):
+        raise AssertionError("JSON row built for csv output")
+
+    monkeypatch.setattr(cli, "_class_json", fail)
+    assert run(["scan", "--level", "7", "--format", "csv"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 6
+
+
 def test_scan_invalid_range(capsys) -> None:
     assert run(["scan", "--level", "7", "--level-max", "3"]) == EXIT_INVALID
     assert run(["scan", "--level", "0"]) == EXIT_INVALID
@@ -176,20 +209,39 @@ def test_output_file(tmp_path, capsys) -> None:
     assert json.loads(target.read_text())["terms"] == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["coeffs", "--triple", "1,2,4", "--terms", "2"],
-        ["coeffs", "--triple", "a,b,c,d", "--terms", "2"],
-        ["coeffs", "--triple", "1,1,4,7", "--terms", "2"],
-        ["coeffs", "--triple", "1,2,4,7", "--terms", "-1"],
-        ["valuations", "--triple", "1,3,7,11", "--prime", "11", "--terms", "0"],
-        ["bogus"],
-        [],
-        ["eisenstein", "--weight", "4", "--terms", "1",
-         "--output", "missing-directory/out.txt"],
-    ],
-)
+INVALID_ARGV = [
+    ["coeffs", "--triple", "1,2,4", "--terms", "2"],
+    ["coeffs", "--triple", "a,b,c,d", "--terms", "2"],
+    ["coeffs", "--triple", "1,1,4,7", "--terms", "2"],
+    ["coeffs", "--triple", "1,2,4,7", "--terms", "-1"],
+    ["valuations", "--triple", "1,3,7,11", "--prime", "11", "--terms", "0"],
+    ["bogus"],
+    [],
+    ["eisenstein", "--weight", "4", "--terms", "1",
+     "--output", "missing-directory/out.txt"],
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGV)
 def test_invalid_inputs_exit_one(argv, capsys) -> None:
     assert run(argv) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [a for a in INVALID_ARGV if "--output" not in a])
+def test_invalid_input_leaves_output_untouched(argv, tmp_path, capsys) -> None:
+    # Handlers raise before rendering, so --output is never opened.
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"earlier result\n")
+    assert run(argv + ["--output", str(target)]) == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+    assert target.read_bytes() == b"earlier result\n"
+
+
+def test_main_exits_with_run_code(monkeypatch, capsys) -> None:
+    for terms, code in (("1", EXIT_OK), ("-1", EXIT_INVALID)):
+        monkeypatch.setattr(sys, "argv",
+                            ["vvmf3", "eisenstein", "--weight", "4", "--terms", terms])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code

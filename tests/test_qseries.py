@@ -6,13 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vvmf3.qseries
-from vvmf3.qseries import (
-    QExpansion,
-    eisenstein,
-    modular_derivative,
-    modular_derivative_iterate,
-    pqr_series,
-)
+from vvmf3.qseries import QExpansion, eisenstein, modular_derivative
 from conftest import _smulser, oracle_eisenstein
 
 
@@ -89,18 +83,13 @@ def test_eisenstein_cache_falling_and_rising(monkeypatch):
     assert [len(cs) for cs in vvmf3.qseries._EISENSTEIN.values()] == [41] * 4
 
 
-def test_pqr_normalization():
-    p, q, r = pqr_series(8)
-    e2, e4, e6 = eisenstein(2, 8), eisenstein(4, 8), eisenstein(6, 8)
-    assert p == e2.scale(Fraction(-1, 12))
-    assert q == e4.scale(Fraction(1, 144))
-    assert r == e6.scale(Fraction(-1, 432))
-
-
 def test_ramanujan_identities():
-    # theta P = Q - P^2 and theta Q = R - 4 P Q in the scaled variables.
+    # theta P = Q - P^2 and theta Q = R - 4 P Q in the scaled variables
+    # P = -E2/12, Q = E4/144, R = -E6/432.
     T = 20
-    p, q, r = pqr_series(T)
+    p = eisenstein(2, T).scale(Fraction(-1, 12))
+    q = eisenstein(4, T).scale(Fraction(1, 144))
+    r = eisenstein(6, T).scale(Fraction(-1, 432))
     theta_p = QExpansion(0, [n * c for n, c in enumerate(p.coeffs)])
     theta_q = QExpansion(0, [n * c for n, c in enumerate(q.coeffs)])
     assert theta_p == q + (p * p).scale(-1)
@@ -129,17 +118,6 @@ def test_modular_derivative_fractional_exponent():
     g = modular_derivative(f, 2)
     assert g.exponent == f.exponent
     assert g.coeffs[0] == Fraction(1, 7) - Fraction(2, 12)
-
-
-def test_modular_derivative_iterate():
-    T = 10
-    e4 = eisenstein(4, T)
-    once = modular_derivative(e4, 4)
-    twice = modular_derivative(once, 6)
-    assert modular_derivative_iterate(e4, 4, 2) == twice
-    assert modular_derivative_iterate(e4, 4, 0) == e4
-    with pytest.raises(ValueError):
-        modular_derivative_iterate(e4, 4, -1)
 
 
 def test_json_round_trip():
