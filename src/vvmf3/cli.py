@@ -13,8 +13,9 @@ Subcommands and their CSV columns:
   basis       field, value
 
 Output format defaults to `table`; override with --format or the
-VVMF3_FORMAT environment variable.  Exit codes: 0 success, 1 invalid input,
-2 formula mismatch reported by `valuations`.
+VVMF3_FORMAT environment variable.  Exit codes: 0 success, 1 invalid input
+or a reader that closed the output pipe early, 2 formula mismatch reported by
+`valuations`.
 
 Each subcommand computes and checks its result before anything is written, so
 invalid input never opens --output; then only the requested format is built.
@@ -396,4 +397,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`vvmf3 scan | head -1`).  Point stdout at
+        # devnull so that the interpreter's last flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INVALID
+    sys.exit(code)

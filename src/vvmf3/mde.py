@@ -20,8 +20,10 @@ alpha4 = omega/N^2 - (3 k0^2 + 12 k0 + 8)/144 and the x6 expression above).
 
 The Frobenius recursion runs on scaled integers: 6N^3 * phi_m(A/N + j) and
 6N * n * lambda(n) are integers (an integrality property of the G_j proved via
-the theory of modular forms mod small primes), so each coefficient is a single
-Fraction construction from an integer numerator and a shared denominator.
+the theory of modular forms mod small primes).  component_series carries the
+coefficients over the running lcm L of their reduced denominators, as the
+integers a(j) * L, so the numbers it adds stay about as large as the reduced
+coefficients and each coefficient takes one gcd of that size.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import mul
+from math import gcd
+from operator import add, mul
 from typing import Optional
 
 from .arith import RationalLike, rational_str
@@ -245,6 +247,26 @@ def lambda_n(t: RepTriple, lead: int, n: int) -> int:
     return val
 
 
+def _recursion_c(t: RepTriple, lead: int, T: int) -> list[int]:
+    """[c_1, ..., c_T] with c_k = 6N k lambda(k), checking the lead once.
+
+    Raises as lambda_n does: ValueError for a lead that is not an exponent,
+    ArithmeticError for a vanishing lambda(k).
+    """
+    if lead not in (t.A, t.B, t.C):
+        raise ValueError(f"lead exponent {lead} is not one of {(t.A, t.B, t.C)}")
+    sig, n_level = t.sigma, t.N
+    d, e = 3 * lead - sig, lead * (3 * lead - 2 * sig) + t.omega
+    c = []
+    for k in range(1, T + 1):
+        nn = n_level * k
+        val = nn * (nn + d) + e
+        if val == 0:
+            raise ArithmeticError(f"lambda_n vanishes for {t}, lead {lead}, n = {k}")
+        c.append(6 * nn * val)
+    return c
+
+
 def _frobenius(
     sys: MDESystem,
     lead: int,
@@ -271,7 +293,7 @@ def _frobenius(
     h0, h1, h2 = sys.h0, sys.h1, sys.h2
     u = [lead + j * n_level for j in range(T + 1)]
     uu = [v * (v - n_level) for v in u]
-    c = [1] + [6 * n_level * k * lambda_n(t, lead, k) for k in range(1, T + 1)]
+    c = [1] + _recursion_c(t, lead, T)
     anum = [1]
     for n in range(1, T + 1):
         s = 0
@@ -286,11 +308,48 @@ def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> 
     """One Frobenius solution q^(lead/N) (1 + sum a(n) q^n) of the system.
 
     a(n) = -(1 / phi(lead/N + n)) * sum_{j<n} a(j) phi_{n-j}(lead/N + j),
-    evaluated entirely in integer arithmetic by :func:`_frobenius`; each
-    coefficient reduces once at the end.
+    run over the integers b_j = a(j) L, where L is the lcm of the reduced
+    denominators of a(0..n-1).  With P_m(j) = 6N^3 phi_m(lead/N + j) and
+    c_n = 6N n lambda(n), a(n) = -S / (L c_n) for S = sum_{j<n} b_j P_{n-j}(j).
+    At each prime p the lcm's valuation grows by max(0, nu_p(c_n) - nu_p(S)),
+    so with g = gcd(S, c_n) the lcm grows by r = c_n / g, every b_j is
+    multiplied by r, and b_n = -S / g.  Reducing b_n / L is the only gcd on
+    numbers of L's size.
+
+    The b_j of the earlier j are kept as rho * settled[j]: rho takes each r
+    and is multiplied in once the later b_j, which are rescaled every row,
+    outnumber the square root of the earlier ones.  P_m(j) is quadratic in j,
+    so the row of P_{n-j}(j) follows from the last one by two additions.
     """
-    anum, c = _frobenius(sys, lead, sys.order if order is None else order)
-    return QExpansion(Fraction(lead, sys.triple.N), map(Fraction, anum, accumulate(c, mul)))
+    T = sys.order if order is None else order
+    if T > sys.order:
+        raise ValueError(f"system built to order {sys.order}, requested {T}")
+    n_level = sys.triple.N
+    h0, h1, h2 = sys.h0, sys.h1, sys.h2
+    uu0 = lead * (lead - n_level)
+    # p[m - 1] = P_m(n - m), dp its first and ddp its second difference in n.
+    p, dp, ddp = [], [], [2 * n_level * n_level * v for v in h2[1 : T + 1]]
+    settled, rho, recent, L = [1], 1, [], 1
+    coeffs = [Fraction(1)]
+    for n, cn in enumerate(_recursion_c(sys.triple, lead, T), 1):
+        p = list(map(add, p, dp))
+        dp = list(map(add, dp, ddp))
+        p.append(h2[n] * uu0 + h1[n] * lead + h0[n])
+        dp.append((2 * h2[n] * lead + h1[n]) * n_level)
+        s = rho * sum(map(mul, settled, reversed(p)))
+        s += sum(map(mul, recent, reversed(p[: len(recent)])))
+        g = gcd(s, cn)
+        if g != cn:
+            r = cn // g
+            L *= r
+            rho *= r
+            recent = list(map(r.__mul__, recent))
+        recent.append(-s // g)
+        coeffs.append(Fraction(recent[-1], L))
+        if len(recent) ** 2 > len(settled):
+            settled = list(map(rho.__mul__, settled)) + recent
+            rho, recent = 1, []
+    return QExpansion(Fraction(lead, n_level), coeffs)
 
 
 def minimal_vector(sys: MDESystem, order: Optional[int] = None) -> MinimalVector:

@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,3 +248,25 @@ def test_main_exits_with_run_code(monkeypatch, capsys) -> None:
         with pytest.raises(SystemExit) as exc:
             cli.main()
         assert exc.value.code == code
+
+
+def test_broken_pipe_exits_one_without_traceback() -> None:
+    # As `vvmf3 scan --level 1 --level-max 40 | head -1`: the reader closes
+    # the pipe after one line, long before the table's 360 kB are written.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from vvmf3.cli import main; main()",
+         "scan", "--level", "1", "--level-max", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_INVALID
+    assert err == b""
+    assert first.split() == [b"N", b"A", b"B", b"C", b"k0", b"small_level_congruence",
+                             b"level7_primitive", b"gamma02_pattern_M", b"ubd_primes"]

@@ -1,12 +1,16 @@
 import os
 import subprocess
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from pathlib import Path
 from sys import executable
 
 import pytest
 
 from vvmf3.mde import (
+    _frobenius,
+    _recursion_c,
     build_mde,
     component_series,
     derived_basis,
@@ -17,7 +21,7 @@ from vvmf3.mde import (
     phi_j,
 )
 from vvmf3.qseries import QExpansion
-from vvmf3.reps import validate_triple
+from vvmf3.reps import enumerate_level, validate_triple
 from conftest import (
     oracle_coefficients,
     oracle_g_series,
@@ -100,10 +104,14 @@ def test_lambda_n_positive_and_consistent():
                 lam = lambda_n(t, lead, n)
                 assert lam > 0
                 assert Fraction(t.N**2) * indicial_phi(sys, r + n) == n * lam
+            c = [6 * t.N * n * lambda_n(t, lead, n) for n in range(1, 12)]
+            assert _recursion_c(t, lead, 11) == c
     with pytest.raises(ValueError):
         lambda_n(ANCHOR, 1, 0)
     with pytest.raises(ValueError):
         lambda_n(ANCHOR, 3, 1)
+    with pytest.raises(ValueError):
+        _recursion_c(ANCHOR, 3, 1)
 
 
 def test_component_series_matches_naive_oracle():
@@ -114,6 +122,19 @@ def test_component_series_matches_naive_oracle():
             slow = oracle_coefficients(t, lead, 25)
             assert list(fast.coeffs) == slow, (t, lead)
             assert fast.exponent == Fraction(lead, t.N)
+
+
+def test_component_series_matches_unreduced_recursion():
+    # Two algorithms: the running common denominator of component_series
+    # against the unreduced Horner numerators of _frobenius over prod c_k.
+    cases = [(t, 60) for level in range(1, 13) for t in enumerate_level(level)]
+    cases += [(UNBOUNDED, 400), (validate_triple(1, 9, 22, 32), 400)]
+    for t, order in cases:
+        sys = build_mde(t, order)
+        for lead in (t.A, t.B, t.C):
+            anum, c = _frobenius(sys, lead, order)
+            expected = list(map(Fraction, anum, accumulate(c, mul)))
+            assert list(component_series(sys, lead).coeffs) == expected, (t, lead)
 
 
 def test_minimal_vector_layout():
@@ -196,7 +217,7 @@ def test_system_json_dict():
 
 _OPTIMIZED_PROBE = """
 import sys
-from vvmf3.mde import _exact_div, lambda_n
+from vvmf3.mde import _exact_div, _recursion_c, lambda_n
 from vvmf3.reps import RepTriple
 
 assert sys.flags.optimize
@@ -204,7 +225,12 @@ assert sys.flags.optimize
 t = object.__new__(RepTriple)
 for name, value in zip("ABCN", (0, 1, 5, 1)):
     object.__setattr__(t, name, value)
-for call in (lambda: _exact_div(7, 2, "probe"), lambda: lambda_n(t, 0, 1)):
+calls = (
+    lambda: _exact_div(7, 2, "probe"),
+    lambda: lambda_n(t, 0, 1),
+    lambda: _recursion_c(t, 0, 3),
+)
+for call in calls:
     try:
         call()
     except ArithmeticError as exc:
@@ -228,5 +254,6 @@ def test_invariants_survive_optimized_mode():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "probe is not divisible by 2: 7",
+        "lambda_n vanishes for RepTriple(A=0, B=1, C=5, N=1), lead 0, n = 1",
         "lambda_n vanishes for RepTriple(A=0, B=1, C=5, N=1), lead 0, n = 1",
     ]
