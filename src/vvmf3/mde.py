@@ -58,7 +58,7 @@ __all__ = [
 class MDESystem:
     """The differential system for one triple, built to a fixed order.
 
-    h0, h1, h2 are the integer arrays 6N^3*G0(n), 6N^2*G1(n), 6N*G2(n)
+    h0, h1, h2 are the integer arrays 6N^3*g0(n), 6N^2*g1(n), 6N*g2(n)
     consumed by the recursion core; g0, g1, g2 are the exact coefficient
     series (exponent 0) derived from them on first use.
     """
@@ -89,18 +89,6 @@ class MDESystem:
     @cached_property
     def g2(self) -> QExpansion:
         return self._series(self.h2, 1)
-
-    @property
-    def G0(self) -> tuple[Fraction, ...]:
-        return self.g0.coeffs
-
-    @property
-    def G1(self) -> tuple[Fraction, ...]:
-        return self.g1.coeffs
-
-    @property
-    def G2(self) -> tuple[Fraction, ...]:
-        return self.g2.coeffs
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,27 +193,27 @@ def build_mde(t: RepTriple, order: int) -> MDESystem:
 
 
 def indicial_phi(sys: MDESystem, lam: RationalLike) -> Fraction:
-    """The indicial cubic lam(lam-1)(lam-2) + G2(0) lam(lam-1) + G1(0) lam + G0(0).
+    """The indicial cubic lam(lam-1)(lam-2) + g2(0) lam(lam-1) + g1(0) lam + g0(0).
 
     Its roots are exactly the leading exponents A/N, B/N, C/N.
     """
     lam = Fraction(lam)
     return (
         lam * (lam - 1) * (lam - 2)
-        + sys.G2[0] * lam * (lam - 1)
-        + sys.G1[0] * lam
-        + sys.G0[0]
+        + sys.g2.coeffs[0] * lam * (lam - 1)
+        + sys.g1.coeffs[0] * lam
+        + sys.g0.coeffs[0]
     )
 
 
 def phi_j(sys: MDESystem, j: int, lam: RationalLike) -> Fraction:
-    """The depth-j recursion polynomial G2(j) lam(lam-1) + G1(j) lam + G0(j)."""
+    """The depth-j recursion polynomial g2(j) lam(lam-1) + g1(j) lam + g0(j)."""
     if j < 1:
         raise ValueError(f"phi_j needs j >= 1, got {j}")
     if j > sys.order:
         raise ValueError(f"system built to order {sys.order}, requested j = {j}")
     lam = Fraction(lam)
-    return sys.G2[j] * lam * (lam - 1) + sys.G1[j] * lam + sys.G0[j]
+    return sys.g2.coeffs[j] * lam * (lam - 1) + sys.g1.coeffs[j] * lam + sys.g0.coeffs[j]
 
 
 def lambda_n(t: RepTriple, lead: int, n: int) -> int:
@@ -267,41 +255,33 @@ def _recursion_c(t: RepTriple, lead: int, T: int) -> list[int]:
     return c
 
 
-def _frobenius(
-    sys: MDESystem,
-    lead: int,
-    T: int,
-    modulus: Optional[int] = None,
-    window: Optional[int] = None,
-) -> tuple[list[int], list[int]]:
-    """Integer core of the recursion: a(n) = anum[n] / (c[0] ... c[n]).
+def _frobenius(sys: MDESystem, lead: int, c: list[int], modulus: int, window: int) -> list[int]:
+    """Residues mod the modulus of the unreduced numerators anum[0..T].
 
-    c[0] = 1 and c[k] = 6N k lambda(k); the unreduced numerators obey
-    anum[n] = -sum_{j<n} anum[j] (6N^3 phi_{n-j}(lead/N + j)) c[j+1] ... c[n-1],
-    evaluated as a Horner recurrence.  No Fraction is built.
-
-    With a modulus, anum[n] is reduced mod it once per row; with a window w,
-    the sum runs over j >= n - w only, so the system need only reach order w.
-    Both are exact when every dropped term is 0 mod the modulus: the term of
-    j carries n - 1 - j factors c_k (see verify_formula).
+    With c = [c_1, ..., c_T], c_k = 6N k lambda(k), from _recursion_c, the
+    coefficients are a(n) = anum[n] / (c_1 ... c_n), and
+    anum[n] = -sum_{j<n} anum[j] (6N^3 phi_{n-j}(lead/N + j)) c_{j+1} ... c_{n-1},
+    evaluated as a Horner recurrence over j >= n - window only, so the system
+    need only reach order window.  Each row is reduced mod the modulus once.
+    The residues are exact when every dropped term is 0 mod the modulus: the
+    term of j carries n - 1 - j factors c_k (see verify_formula).
     """
-    w = T if window is None else window
-    if min(w, T) > sys.order:
-        raise ValueError(f"system built to order {sys.order}, requested {min(w, T)}")
-    t = sys.triple
-    n_level = t.N
+    T = len(c)
+    if min(window, T) > sys.order:
+        raise ValueError(f"system built to order {sys.order}, requested {min(window, T)}")
+    n_level = sys.triple.N
     h0, h1, h2 = sys.h0, sys.h1, sys.h2
     u = [lead + j * n_level for j in range(T + 1)]
     uu = [v * (v - n_level) for v in u]
-    c = [1] + _recursion_c(t, lead, T)
+    c = [1] + c
     anum = [1]
     for n in range(1, T + 1):
         s = 0
-        for j in range(max(0, n - w), n):
+        for j in range(max(0, n - window), n):
             m = n - j
             s = s * c[j] + anum[j] * (h2[m] * uu[j] + h1[m] * u[j] + h0[m])
-        anum.append(-s if modulus is None else -s % modulus)
-    return anum, c
+        anum.append(-s % modulus)
+    return anum
 
 
 def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> QExpansion:

@@ -9,21 +9,26 @@ exact law
     nu_p(a(n)) = n * delta - nu_p(prod_{k=1..n} k * lambda(k)),
 
 delta = nu_p(z_n) - nu_p(N) < 0, a strictly decreasing negative function of n.
-Observed valuations come from the integer recursion, a(n) = anum_n / (c_1 ... c_n)
-with c_k = 6N k lambda(k), as nu_p(anum_n) - sum_{k<=n} nu_p(c_k), and in those
-terms the law is equivalent to nu_p(anum_n) = n * (nu_p(z_0) + nu_p(6)).
-A prime passing the criterion below therefore certifies unbounded denominators
-at desk scale; the module also profiles observed denominators directly.
+With c_k = 6N k lambda(k) and shift = delta + nu_p(6N) the law reads
+n * shift - sum_{k<=n} nu_p(c_k), which _law computes for both
+predicted_valuation and verify_formula.  Since a(n) = anum_n / (c_1 ... c_n)
+for integers anum_n, the law is equivalent to
+nu_p(anum_n) = n * (nu_p(z_0) + nu_p(6)), which verify_formula checks mod a
+power of p; observed valuations otherwise come from the reduced coefficients
+of component_series.  A prime passing the criterion below therefore
+certifies unbounded denominators at desk scale; the module also profiles
+observed denominators directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
-from typing import Optional
+from typing import Iterable, Optional
 
 from .arith import INFINITY, ValuationValue, int_valuation, is_prime, prime_factors
-from .mde import _frobenius, build_mde, lambda_n
+from .mde import _frobenius, _recursion_c, build_mde, component_series
 from .qseries import QExpansion
 from .reps import RepTriple, ubd_criterion
 
@@ -215,6 +220,18 @@ def _delta_for_lead(t: RepTriple, case: PrimeCase, lead: Optional[int]) -> int:
     return vz - nu_level
 
 
+def _law(p: int, shift: int, c: list[int]) -> list[int]:
+    """The law's column n * shift - sum_{k<=n} nu_p(c_k) for n = 1..len(c),
+    given c = [c_1, ..., c_n] from _recursion_c and shift = delta + nu_p(6N)."""
+    return [n * shift - d for n, d in enumerate(accumulate(int_valuation(ck, p) for ck in c), 1)]
+
+
+def _coeff_valuations(fracs: Iterable[tuple[int, int]], p: int) -> list[ValuationValue]:
+    """nu_p(a / d) for each reduced (a, d) in fracs and a known prime p: p
+    divides at most one of a and d, and zero (d = 1) gives INFINITY."""
+    return [-int_valuation(d, p) if d % p == 0 else int_valuation(a, p) for a, d in fracs]
+
+
 def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     """The law's value n*delta - nu_p(prod_{k<=n} k lambda(k)).
 
@@ -227,23 +244,21 @@ def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"predicted_valuation needs n >= 1, got {n}")
-    delta = _delta_for_lead(t, classify_prime(t, p), lead)
-    return n * delta - sum(int_valuation(k * lambda_n(t, lead, k), p) for k in range(1, n + 1))
+    shift = _delta_for_lead(t, classify_prime(t, p), lead) + int_valuation(6 * t.N, p)
+    return _law(p, shift, _recursion_c(t, lead, n))[-1]
 
 
 def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> ValuationReport:
     """Compare observed nu_p(a(n)) against the law for 1 <= n <= n_max (>= 1).
 
-    Both columns subtract d = sum_{k<=n} nu_p(c_k) from the numerator's
-    valuation: observed nu_p(anum_n), predicted n * shift with
-    shift = delta + nu_p(6N).
-
-    When the law applies, anum_n mod p^K with K = n_max * shift + 1 decides
-    every row exactly, since each prediction is below K.  Every c_k has
-    nu_p(c_k) >= e = nu_p(6N) >= 1, so in the Horner sum for anum_n the terms
-    of j < n - w, w = ceil(K / e), vanish mod p^K and the recursion needs only
-    a window of w.  Should a residue miss its prediction, the exact recursion
-    reruns and supplies the observed column.
+    When the law applies, it is equivalent to nu_p(anum_n) = n * shift for
+    the numerators of a(n) = anum_n / (c_1 ... c_n).  Their residues mod p^K,
+    K = n_max * shift + 1, decide every row exactly, since each n * shift is
+    below K.  Every c_k has nu_p(c_k) >= e = nu_p(6N) >= 1, so in the Horner
+    sum for anum_n the terms of j < n - w, w = ceil(K / e), vanish mod p^K
+    and _frobenius needs only a window of w.  When the law is inapplicable,
+    or a residue misses its prediction, the observed column is read from the
+    reduced coefficients of component_series.
     """
     if n_max < 1:
         raise ValueError(f"verify_formula needs n_max >= 1, got {n_max}")
@@ -256,28 +271,27 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
     except FormulaInapplicable as exc:
         applicable, reason = False, str(exc)
 
-    anum = None
+    predicted: list[Optional[int]] = [None] * n_max
+    observed: Optional[list[ValuationValue]] = None
     if applicable:
+        c = _recursion_c(t, lead, n_max)
+        predicted = _law(p, shift, c)
         k = n_max * shift + 1
         w = min(n_max, -(-k // nu_6n))
-        anum, c = _frobenius(build_mde(t, w), lead, n_max, p**k, w)
-        nu = [int_valuation(a, p) for a in anum]
-        if any(v != n * shift for n, v in enumerate(nu)):
-            anum = None
-    if anum is None:
-        anum, c = _frobenius(build_mde(t, n_max), lead, n_max)
-        nu = [int_valuation(a, p) for a in anum]
-    rows: list[tuple[int, ValuationValue, Optional[int]]] = [
-        (n, nu[n] - d, n * shift - d if applicable else None)
-        for n, d in enumerate(accumulate(int_valuation(ck, p) for ck in c[1:]), 1)
-    ]
+        residues = _frobenius(build_mde(t, w), lead, c, p**k, w)
+        if all(int_valuation(a, p) == n * shift for n, a in enumerate(residues)):
+            observed = predicted
+    if observed is None:
+        series = component_series(build_mde(t, n_max), lead, n_max)
+        observed = _coeff_valuations(map(Fraction.as_integer_ratio, series.coeffs[1:]), p)
+    rows = tuple(zip(range(1, n_max + 1), observed, predicted))
 
     if not applicable:
         verdict = "inapplicable"
-    elif all(observed == predicted for _, observed, predicted in rows):
+    elif observed == predicted:
         verdict = "formula-verified"
     # Prepend nu_p(a(0)) = 0 so that the index of each valuation is its n.
-    elif _late_new_minimum(_prime_stats(p, [0] + [obs for _, obs, _ in rows]), n_max):
+    elif _late_new_minimum(_prime_stats(p, [0] + observed), n_max):
         verdict = "empirically-unbounded"
     else:
         verdict = "bounded-in-window"
@@ -285,7 +299,7 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
         triple=t,
         prime=p,
         lead=lead,
-        rows=tuple(rows),
+        rows=rows,
         verdict=verdict,
         case=case,
         applicable=applicable,
@@ -368,7 +382,7 @@ def denominator_profile(f: QExpansion, n_max: Optional[int] = None) -> Denominat
         raise ValueError(f"denominator_profile needs n_max >= 0, got {T}")
     if T > f.order:
         raise ValueError(f"series valid to order {f.order}, requested {T}")
-    fracs = [(c.numerator, c.denominator) for c in f.coeffs[: T + 1]]
+    fracs = [c.as_integer_ratio() for c in f.coeffs[: T + 1]]
 
     primes: list[int] = []
     for _, d in fracs:
@@ -379,13 +393,7 @@ def denominator_profile(f: QExpansion, n_max: Optional[int] = None) -> Denominat
             primes.extend(p for p, _ in prime_factors(d))
             primes.sort()
 
-    # Each p is a known prime.  In a reduced a/d, p divides at most one of a
-    # and d, so one valuation decides; a zero a has d = 1 and gets INFINITY.
-    stats = tuple(
-        _prime_stats(p, [-int_valuation(d, p) if d % p == 0 else int_valuation(a, p)
-                         for a, d in fracs])
-        for p in primes
-    )
+    stats = tuple(_prime_stats(p, _coeff_valuations(fracs, p)) for p in primes)
     if not stats:
         verdict = "all-integral"
     elif any(_late_new_minimum(s, T) for s in stats):

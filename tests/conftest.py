@@ -1,9 +1,12 @@
-"""Shared test helpers: an independent slow oracle and deterministic samplers.
+"""Shared test helpers: an independent slow oracle, a reference recursion
+and deterministic samplers.
 
 The oracle functions rebuild everything from first principles with Fractions
 (Bernoulli recurrence, divisor sums, explicit Cauchy products, recursion
 dividing by the full indicial cubic) and share no code with the package, so
-agreement is meaningful evidence.
+agreement is meaningful evidence.  reference_unreduced is the plain integer
+Horner recursion over the package's h arrays, a second algorithm beside the
+running common denominator of component_series.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import random
 from fractions import Fraction
 from math import comb, gcd
 
+from vvmf3.mde import MDESystem
 from vvmf3.reps import RepTriple, validate_triple
 
 SEED = 20260826
@@ -103,6 +107,27 @@ def oracle_coefficients(t: RepTriple, lead: int, T: int) -> list[Fraction]:
         s = sum(a[j] * oracle_phi_j(gj, n - j, r + j) for j in range(n))
         a.append(-s / oracle_phi(gj, r + n))
     return a
+
+
+def reference_unreduced(sys: MDESystem, lead: int, T: int) -> tuple[list[int], list[int]]:
+    """(anum, c) with a(n) = anum[n] / (c[0] ... c[n]), c[0] = 1 and
+    c[k] = 6N k lambda(k): the unreduced numerators of the recursion,
+    anum[n] = -sum_{j<n} anum[j] (6N^3 phi_{n-j}(lead/N + j)) c[j+1] ... c[n-1],
+    evaluated as a Horner recurrence with no reduction and no Fraction."""
+    t = sys.triple
+    N, sig, om = t.N, t.sigma, t.omega
+    u = [lead + j * N for j in range(T + 1)]
+    uu = [v * (v - N) for v in u]
+    c = [1] + [6 * v * (v * (v + 3 * lead - sig) + lead * (3 * lead - 2 * sig) + om)
+               for v in (N * k for k in range(1, T + 1))]
+    anum = [1]
+    for n in range(1, T + 1):
+        s = 0
+        for j in range(n):
+            m = n - j
+            s = s * c[j] + anum[j] * (sys.h2[m] * uu[j] + sys.h1[m] * u[j] + sys.h0[m])
+        anum.append(-s)
+    return anum, c
 
 
 def brute_force_level(N: int) -> list[tuple[int, int, int]]:

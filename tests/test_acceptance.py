@@ -76,7 +76,8 @@ def test_criterion_02_g_series_anchors() -> None:
         sample = sample_triples(100, level_max=10**4)
         for t in sample:
             sig, om, pi, N = t.sigma, t.omega, t.product, t.N
-            G0, G1, G2 = (build_mde(t, 50).G0, build_mde(t, 50).G1, build_mde(t, 50).G2)
+            sys = build_mde(t, 50)
+            G0, G1, G2 = sys.g0.coeffs, sys.g1.coeffs, sys.g2.coeffs
             assert G2[0] == 3 - Fraction(sig, N)
             assert G1[0] == G2[0] + Fraction(om, N**2) - 2
             assert G0[0] == -Fraction(pi, N**3)
@@ -97,9 +98,9 @@ def test_criterion_03_integrality() -> None:
             d3 = 0 if N % 3 == 0 else 1
             sys = build_mde(t, 50)
             for n in range(2, 51):
-                assert sys.G2[n].denominator == 1
-                assert (3**d3 * N**2 * sys.G1[n]).denominator == 1
-                assert (2**d2 * 3**d3 * N**3 * sys.G0[n]).denominator == 1
+                assert sys.g2.coeffs[n].denominator == 1
+                assert (3**d3 * N**2 * sys.g1.coeffs[n]).denominator == 1
+                assert (2**d2 * 3**d3 * N**3 * sys.g0.coeffs[n]).denominator == 1
 
 
 def test_criterion_04_ode_residual() -> None:

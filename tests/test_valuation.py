@@ -2,14 +2,14 @@
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import sample_triples
+from conftest import reference_unreduced, sample_triples
 from vvmf3.arith import INFINITY, int_valuation, prime_factors, valuation_p
 from vvmf3.mde import _frobenius, build_mde, component_series, phi_j
+import vvmf3.mde
 import vvmf3.valuation
 from vvmf3.reps import enumerate_level, validate_triple
 from vvmf3.valuation import (
@@ -344,21 +344,22 @@ def test_denominator_profile_boundary_of_late_minimum() -> None:
 def test_verify_formula_mismatch_verdict(monkeypatch, doctor, verdict) -> None:
     t = validate_triple(1, 3, 7, 11)
     real = component_series(build_mde(t, 20), 1, 20)
-    _, c = _frobenius(build_mde(t, 20), 1, 20)
-    # Numerators that put the doctored coefficients over the same c_0 ... c_n.
-    scaled = [a * d for a, d in zip(doctor(list(real.coeffs)), accumulate(c, mul))]
-    assert all(x.denominator == 1 for x in scaled)
-    anum = [x.numerator for x in scaled]
-    moduli = []
+    doctored = QExpansion(real.exponent, doctor(list(real.coeffs)))
+    calls = []
 
-    def doctored(sys, lead, order, modulus=None, window=None):
-        moduli.append(modulus)
-        return anum, c
+    def missing_residues(sys, lead, c, modulus, window):
+        calls.append("_frobenius")
+        return [0] * (len(c) + 1)
 
-    monkeypatch.setattr(vvmf3.valuation, "_frobenius", doctored)
+    def doctored_series(sys, lead, order=None):
+        calls.append("component_series")
+        return doctored
+
+    monkeypatch.setattr(vvmf3.valuation, "_frobenius", missing_residues)
+    monkeypatch.setattr(vvmf3.valuation, "component_series", doctored_series)
     report = verify_formula(t, 11, n_max=20)
-    # The residues miss the law, so the exact recursion reruns.
-    assert moduli == [11, None]
+    # The residues miss the law, so the exact recursion supplies the rows.
+    assert calls == ["_frobenius", "component_series"]
     assert report.applicable
     assert report.verdict == verdict
 
@@ -390,7 +391,7 @@ def test_verify_formula_modular_path_matches_exact_path() -> None:
             report = verify_formula(t, p, n_max=T)
             if report.lead not in exact:
                 exact[report.lead] = (
-                    _frobenius(mde, report.lead, T),
+                    reference_unreduced(mde, report.lead, T),
                     component_series(mde, report.lead, T).coeffs,
                 )
             (anum, c), coeffs = exact[report.lead]
@@ -408,24 +409,40 @@ def test_verify_formula_modular_path_matches_exact_path() -> None:
             assert report.verdict == "formula-verified"
             k = T * shift + 1
             w = min(T, -(-k // int_valuation(6 * t.N, p)))
-            residues, _ = _frobenius(build_mde(t, w), report.lead, T, p**k, w)
+            residues = _frobenius(build_mde(t, w), report.lead, c[1:], p**k, w)
             assert residues == [a % p**k for a in anum], (t, p)
             windows.add((report.case.case_id, shift, w))
     assert {case_id for case_id, shift, w in windows if shift > 0 and w > 1} == {3, 5, 6, 7, 8}
 
 
 def test_verify_formula_stays_on_modular_path(monkeypatch) -> None:
-    moduli = []
-    real = vvmf3.valuation._frobenius
+    calls = []
 
-    def spy(sys, lead, T, modulus=None, window=None):
-        moduli.append(modulus)
-        return real(sys, lead, T, modulus, window)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return component_series(*args, **kwargs)
 
-    monkeypatch.setattr(vvmf3.valuation, "_frobenius", spy)
+    monkeypatch.setattr(vvmf3.valuation, "component_series", spy)
     report = verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=1000)
     assert report.verdict == "formula-verified"
-    assert moduli and None not in moduli
+    assert calls == []
+
+
+@pytest.mark.parametrize("tup, p", [((1, 3, 7, 11), 11), ((0, 1, 26, 54), 3)])
+def test_predicted_valuation_matches_verify_formula_column(monkeypatch, tup, p) -> None:
+    # One law behind both: no lambda_n call, and the same column; the
+    # level-54 pin has shift = nu_3(z_0) + nu_3(6) = 2.
+    def boom(*args):
+        raise AssertionError("lambda_n called")
+
+    for module in (vvmf3.mde, vvmf3.valuation):
+        monkeypatch.setattr(module, "lambda_n", boom, raising=False)
+    t = validate_triple(*tup)
+    report = verify_formula(t, p, n_max=60)
+    assert report.verdict == "formula-verified"
+    assert [predicted_valuation(t, p, report.lead, n) for n in range(1, 61)] == [
+        predicted for _, _, predicted in report.rows
+    ]
 
 
 def test_denominator_profile_validation() -> None:
