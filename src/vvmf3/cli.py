@@ -322,8 +322,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--level-max", type=int, default=None)
     p.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("family", parents=[common],
-                       help="induced-character families")
+    p = sub.add_parser("family", help="induced-character families")
     fam = p.add_subparsers(dest="family_kind", required=True)
     g02 = fam.add_parser("gamma02", parents=[common])
     g02.add_argument("--M", type=int, required=True)

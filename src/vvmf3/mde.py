@@ -23,7 +23,9 @@ The Frobenius recursion runs on scaled integers: 6N^3 * phi_m(A/N + j) and
 the theory of modular forms mod small primes).  component_series carries the
 coefficients over the running lcm L of their reduced denominators, as the
 integers a(j) * L, so the numbers it adds stay about as large as the reduced
-coefficients and each coefficient takes one gcd of that size.
+coefficients and each coefficient takes one gcd of that size.  ode_residual
+evaluates the same row sums over a whole series as three integer
+convolutions of the h arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from operator import add, mul
 from typing import Optional
 
 from .arith import RationalLike, rational_str
-from .qseries import QExpansion, _eisenstein_coeffs, modular_derivative
+from .qseries import QExpansion, _convolve, _eisenstein_coeffs, _integral, modular_derivative
 from .reps import RepTriple
 
 __all__ = [
@@ -58,9 +60,9 @@ __all__ = [
 class MDESystem:
     """The differential system for one triple, built to a fixed order.
 
-    h0, h1, h2 are the integer arrays 6N^3*g0(n), 6N^2*g1(n), 6N*g2(n)
-    consumed by the recursion core; g0, g1, g2 are the exact coefficient
-    series (exponent 0) derived from them on first use.
+    h0, h1, h2 are the integer arrays 6N^3*g0(n), 6N^2*g1(n), 6N*g2(n) that
+    every computation reads; g0, g1, g2 are their exact series (exponent 0),
+    a view for display and the phi polynomials, built on first use.
     """
 
     triple: RepTriple
@@ -332,48 +334,38 @@ def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> 
     return QExpansion(Fraction(lead, n_level), coeffs)
 
 
-def minimal_vector(sys: MDESystem, order: Optional[int] = None) -> MinimalVector:
+def minimal_vector(sys: MDESystem) -> MinimalVector:
     """All three solution components, one recursion per leading exponent."""
     t = sys.triple
-    return MinimalVector(
-        tuple(component_series(sys, lead, order) for lead in (t.A, t.B, t.C))
-    )
+    return MinimalVector(tuple(component_series(sys, lead) for lead in (t.A, t.B, t.C)))
 
 
-def _scaled_theta(f: QExpansion, depth: int) -> QExpansion:
-    """q^depth * (d/dq)^depth applied to f: multiply the coefficient of
-    q^(r+n) by the falling factorial (r+n)(r+n-1)...(r+n-depth+1).
+def ode_residual(sys: MDESystem, f: QExpansion) -> QExpansion:
+    """Exact residual q^3 f''' + g2 q^2 f'' + g1 q f' + g0 f through
+    T = min(f.order, sys.order).
 
-    With r = A/N that factor is the integer prod_i (A + N(n-i)) over N^depth.
+    Write f = q^(s/e) sum a_n q^n / l with integers a_n and v_n = s + e n.
+    Times 6N^3 e^3 l, the coefficient of q^(s/e + n) is the recursion's row
+    sum over j <= n: the diagonal 6N^3 v_n (v_n - e)(v_n - 2e) a_n plus three
+    integer convolutions, of h2 with N^2 e v (v - e) a, of h1 with N e^2 v a
+    and of h0 with e^3 a.  It is identically zero for recursion output; for a
+    perturbed series it isolates phi(s/e + n) times the perturbation.
     """
-    a, n_den = f.exponent.numerator, f.exponent.denominator
-    den = n_den**depth
-    out = []
-    for n, cn in enumerate(f.coeffs):
-        falling = 1
-        for i in range(depth):
-            falling *= a + n_den * (n - i)
-        out.append(cn * Fraction(falling, den))
-    return QExpansion(f.exponent, out)
-
-
-def ode_residual(sys: MDESystem, f: QExpansion, order: Optional[int] = None) -> QExpansion:
-    """Exact residual q^3 f''' + g2 q^2 f'' + g1 q f' + g0 f through the order.
-
-    Identically zero for recursion output; the coefficient at q^(r+n) of the
-    residual of a perturbed series isolates phi(r + n) times the perturbation.
-    """
-    cap = min(f.order, sys.order)
-    T = cap if order is None else order
-    if T > cap:
-        raise ValueError(f"residual valid to order {cap}, requested {T}")
-    g = f.truncate(T)
-    return (
-        _scaled_theta(g, 3)
-        + sys.g2 * _scaled_theta(g, 2)
-        + sys.g1 * _scaled_theta(g, 1)
-        + sys.g0 * g
-    )
+    T = min(f.order, sys.order)
+    a, l = _integral(f.coeffs[: T + 1])
+    s, e = f.exponent.numerator, f.exponent.denominator
+    n_level = sys.triple.N
+    v = [s + e * n for n in range(T + 1)]
+    va = list(map(mul, v, a))
+    terms = [6 * n_level**3 * x * (w - e) * (w - 2 * e) for x, w in zip(va, v)]
+    for h, row in (
+        (sys.h2, [n_level * n_level * e * x * (w - e) for x, w in zip(va, v)]),
+        (sys.h1, [n_level * e * e * x for x in va]),
+        (sys.h0, [e**3 * x for x in a]),
+    ):
+        terms = list(map(add, terms, _convolve(h[: T + 1], row)))
+    den = 6 * n_level**3 * e**3 * l
+    return QExpansion(f.exponent, (Fraction(x, den) for x in terms))
 
 
 @dataclass(frozen=True)
@@ -393,17 +385,12 @@ class DerivedBasis:
     vandermonde: Fraction
 
 
-def derived_basis(
-    sys: MDESystem, f0: MinimalVector, order: Optional[int] = None
-) -> DerivedBasis:
+def derived_basis(sys: MDESystem, f0: MinimalVector) -> DerivedBasis:
     """Apply the weight-k0 and weight-(k0+2) derivatives to every component."""
     k0 = sys.triple.k0
-    cap = min(min(c.order for c in f0.components), sys.order)
-    T = cap if order is None else order
-    if T > cap:
-        raise ValueError(f"basis valid to order {cap}, requested {T}")
-    first = tuple(modular_derivative(c, k0, T) for c in f0.components)
-    second = tuple(modular_derivative(c, k0 + 2, T) for c in first)
+    T = min(min(c.order for c in f0.components), sys.order)
+    first = tuple(modular_derivative(c.truncate(T), k0) for c in f0.components)
+    second = tuple(modular_derivative(c, k0 + 2) for c in first)
     matrix = tuple(
         (f0.components[i].coeffs[0], first[i].coeffs[0], second[i].coeffs[0])
         for i in range(3)

@@ -4,7 +4,9 @@ A :class:`QExpansion` is the exact object q^r * (c(0) + c(1) q + ... + c(T) q^T)
 with rational r in [0, 1) and rational coefficients.  T is the truncation
 order: coefficients of q^(r+n) are exact for n <= T and unknown beyond.
 Arithmetic propagates the smallest valid order of its operands, so precision
-loss is always explicit.
+loss is always explicit, and f.truncate(T) is the one way to shorten a series.
+Every series product is one integer convolution, _convolve, which
+ode_residual shares.
 
 The module also provides the weight-k Eisenstein series (whose numerators
 build_mde reads to construct the differential equation) and the
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .arith import RationalLike, bernoulli, rational_str, sigma_k
 
@@ -54,16 +56,10 @@ class QExpansion:
         """Largest n for which the coefficient of q^(exponent+n) is exact."""
         return len(self._coeffs) - 1
 
-    def coefficient(self, n: int) -> Fraction:
-        """Coefficient of q^(exponent + n); n must not exceed the order."""
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient index {n} outside valid order {self.order}")
-        return self._coeffs[n]
-
     def truncate(self, order: int) -> "QExpansion":
         """Restriction to a smaller (or equal) truncation order."""
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
+        if not 0 <= order <= self.order:
+            raise ValueError(f"truncation order must lie in [0, {self.order}], got {order}")
         if order == self.order:
             return self
         return QExpansion(self._exponent, self._coeffs[: order + 1])
@@ -97,14 +93,9 @@ class QExpansion:
     def __mul__(self, other: Union["QExpansion", RationalLike]) -> "QExpansion":
         """Product of two series, or of a series and a scalar.
 
-        The series product is a Kronecker substitution.  Each operand is
-        brought to integers over the lcm of its denominators, a_i / la and
-        b_j / lb, and packed as signed k-bit digits into one int,
-        A = sum a_i 2^(k i).  One multiplication gives A B = sum c_n 2^(k n)
-        with c_n = sum_{i+j=n} a_i b_j, and the product coefficient is
-        c_n / (la lb).  k is the smallest multiple of 8 for which 2^(k-1)
-        exceeds every |a_i|, every |b_j| and the bound (order+1) max|a| max|b|
-        on |c_n|, so no digit spills into its neighbour.
+        Each operand is brought to integers over the lcm of its denominators,
+        a_i / la and b_j / lb; the product coefficient is c_n / (la lb) for the
+        Cauchy sums c_n of _convolve.
         """
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
@@ -113,20 +104,8 @@ class QExpansion:
         order = min(self.order, other.order)
         a, la = _integral(self._coeffs[: order + 1])
         b, lb = _integral(other._coeffs[: order + 1])
-        ma, mb = max(map(abs, a)), max(map(abs, b))
-        width = max((order + 1) * ma * mb, ma, mb).bit_length() // 8 + 1  # bytes
-        half = 1 << (8 * width - 1)
-        size = width * (order + 1)
-        bias = int.from_bytes(half.to_bytes(width, "little") * (order + 1), "little")
-        product = (_pack(a, width, half) - bias) * (_pack(b, width, half) - bias)
-        # Adding half to every digit makes each one nonnegative, so the low
-        # order+1 digits are plain byte slices of one to_bytes call.
-        raw = ((product + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
         den = la * lb
-        prod = [
-            Fraction(int.from_bytes(raw[i : i + width], "little") - half, den)
-            for i in range(0, size, width)
-        ]
+        prod = [Fraction(c, den) for c in _convolve(a, b)]
         exponent = self._exponent + other._exponent
         if exponent >= 1:
             # Fold the integer part of the exponent into the series: one exact
@@ -180,10 +159,30 @@ def _integral(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return [c.numerator * (l // c.denominator) for c in coeffs], l
 
 
-def _pack(digits: list[int], width: int, half: int) -> int:
-    """The int whose i-th digit of width bytes is digits[i] + half."""
-    raw = b"".join((d + half).to_bytes(width, "little") for d in digits)
-    return int.from_bytes(raw, "little")
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The Cauchy sums c_n = sum_{i+j=n} a_i b_j for n < len(a) = len(b).
+
+    A Kronecker substitution: each list is packed as signed k-bit digits into
+    one int, A = sum a_i 2^(k i), and one multiplication gives
+    A B = sum c_n 2^(k n).  k is the smallest multiple of 8 for which 2^(k-1)
+    exceeds every |a_i|, every |b_j| and the bound len(a) max|a| max|b| on
+    |c_n|, so no digit spills into its neighbour.
+    """
+    size = len(a)
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+    width = max(size * ma * mb, ma, mb).bit_length() // 8 + 1  # bytes
+    half = 1 << (8 * width - 1)
+    # Adding half to every digit makes each one nonnegative: packing joins
+    # to_bytes calls, and the product's low digits are slices of one to_bytes.
+    bias = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+
+    def pack(digits: Sequence[int]) -> int:
+        raw = b"".join((d + half).to_bytes(width, "little") for d in digits)
+        return int.from_bytes(raw, "little") - bias
+
+    size *= width
+    raw = ((pack(a) * pack(b) + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
 
 
 # Eisenstein coefficients per weight, one list each; extended on demand.
@@ -214,19 +213,16 @@ def eisenstein(k: int, order: int) -> QExpansion:
     return QExpansion(0, _eisenstein_coeffs(k, order))
 
 
-def modular_derivative(f: QExpansion, k: RationalLike, order: int | None = None) -> QExpansion:
+def modular_derivative(f: QExpansion, k: RationalLike) -> QExpansion:
     """Weight-k modular derivative D_k f = theta(f) - (k/12) E2 f.
 
     theta multiplies the coefficient of q^(r+n) by (r+n).  The result is a
-    weight k+2 object when f has weight k.
+    weight k+2 object when f has weight k, to the order of f; truncate f
+    first for a shorter result.
 
     >>> modular_derivative(QExpansion(0, [1, 0, 0]), 0).coeffs
     (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))
     """
-    t = f.order if order is None else order
-    if t > f.order:
-        raise ValueError(f"f is only valid to order {f.order}, requested {t}")
     r = f.exponent
-    theta = QExpansion(r, ((r + n) * c for n, c in enumerate(f.coeffs[: t + 1])))
-    return theta + (eisenstein(2, t) * f.truncate(t)).scale(Fraction(k) / -12)
-
+    theta = QExpansion(r, ((r + n) * c for n, c in enumerate(f.coeffs)))
+    return theta + (eisenstein(2, f.order) * f).scale(Fraction(k) / -12)

@@ -35,9 +35,9 @@ LEVEL7_PRIMITIVE_CLASSES = frozenset({frozenset({1, 2, 4}), frozenset({3, 5, 6})
 
 PRIMITIVE_NOTE = "congruence kernel asserted without proof; not verified here"
 
-# Levels dividing this number never pass the criterion; its prime content is
-# exactly the p-power thresholds of the covered cases.
-_BOUNDED_PART = 2**8 * 3**4 * 5**2 * 7**2
+# Levels dividing this number never pass the criterion.  Each exponent is twice
+# the largest predicted nu_p(z) among that prime's cases (cases 8, 7, 5 and 3a).
+_BOUNDED_PART = 2**8 * 3**6 * 5**2 * 7**2
 
 
 class InvalidTripleError(ValueError):
@@ -365,7 +365,7 @@ class Classification:
 
 
 def ubd_criterion(N: int) -> list[int]:
-    """Primes dividing N / gcd(N, 2^8 * 3^4 * 5^2 * 7^2), sorted.
+    """Primes dividing N / gcd(N, 2^8 * 3^6 * 5^2 * 7^2), sorted.
 
     Every listed prime admits a covered case whose hypothesis holds, so each
     certifies unbounded denominators for every admissible triple at level N.

@@ -282,7 +282,7 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
         if all(int_valuation(a, p) == n * shift for n, a in enumerate(residues)):
             observed = predicted
     if observed is None:
-        series = component_series(build_mde(t, n_max), lead, n_max)
+        series = component_series(build_mde(t, n_max), lead)
         observed = _coeff_valuations(map(Fraction.as_integer_ratio, series.coeffs[1:]), p)
     rows = tuple(zip(range(1, n_max + 1), observed, predicted))
 
@@ -313,7 +313,6 @@ class PrimeStats:
 
     prime: int
     min_valuation: int
-    min_index: int
     new_min_count: int
     last_new_min_index: int
     strictly_decreasing: bool
@@ -322,7 +321,6 @@ class PrimeStats:
         return {
             "prime": self.prime,
             "min_valuation": self.min_valuation,
-            "min_index": self.min_index,
             "new_min_count": self.new_min_count,
             "last_new_min_index": self.last_new_min_index,
             "strictly_decreasing": self.strictly_decreasing,
@@ -362,7 +360,6 @@ def _prime_stats(p: int, vals: list[ValuationValue]) -> PrimeStats:
     return PrimeStats(
         prime=p,
         min_valuation=running,
-        min_index=last_new_min,
         new_min_count=new_min_count,
         last_new_min_index=last_new_min,
         strictly_decreasing=all(b < a for a, b in zip(vals, vals[1:])),
@@ -375,14 +372,11 @@ def _late_new_minimum(s: PrimeStats, T: int) -> bool:
     return s.min_valuation <= -3 and s.last_new_min_index >= T - max(1, T // 10)
 
 
-def denominator_profile(f: QExpansion, n_max: Optional[int] = None) -> DenominatorProfile:
-    """Profile the denominators of a series through n_max (>= 0) coefficients."""
-    T = f.order if n_max is None else n_max
-    if T < 0:
-        raise ValueError(f"denominator_profile needs n_max >= 0, got {T}")
-    if T > f.order:
-        raise ValueError(f"series valid to order {f.order}, requested {T}")
-    fracs = [c.as_integer_ratio() for c in f.coeffs[: T + 1]]
+def denominator_profile(f: QExpansion) -> DenominatorProfile:
+    """Profile the denominators of a series through its order; profile
+    f.truncate(T) for a shorter window."""
+    T = f.order
+    fracs = [c.as_integer_ratio() for c in f.coeffs]
 
     primes: list[int] = []
     for _, d in fracs:

@@ -155,6 +155,19 @@ def test_family_gamma02_json(capsys) -> None:
     assert data["triple"]["N"] == data["formula_level"]
 
 
+def test_family_options_follow_the_kind(capsys, tmp_path) -> None:
+    # --format and --output belong to the family kind; given before it they
+    # are rejected instead of silently falling back to the defaults.
+    args = ["gamma02", "--M", "4", "--A", "1", "--x", "0"]
+    assert run(["family", "--format", "json"] + args) == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+    out = tmp_path / "family.json"
+    assert run(["family", "--output", str(out)] + args) == EXIT_INVALID
+    assert not out.exists()
+    assert run(["family"] + args + ["--format", "json", "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["params"]["family"] == "gamma02"
+
+
 def test_family_rejection_exit_one(capsys) -> None:
     assert run(["family", "gamma02", "--M", "4", "--A", "1", "--x", "1"]) \
         == EXIT_INVALID

@@ -1,5 +1,6 @@
 import os
 import subprocess
+import random
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -26,6 +27,7 @@ from conftest import (
     oracle_g_series,
     oracle_phi,
     oracle_phi_j,
+    SEED,
     reference_unreduced,
     sample_triples,
 )
@@ -142,10 +144,11 @@ def test_minimal_vector_layout():
     mv = minimal_vector(sys)
     assert [c.exponent for c in mv.components] == list(ANCHOR.exponents)
     assert all(c.coeffs[0] == 1 for c in mv.components)
-    short = minimal_vector(sys, 3)
-    assert all(c.order == 3 for c in short.components)
+    short = [c.truncate(3) for c in mv.components]
+    assert all(c.order == 3 for c in short)
+    assert short == list(minimal_vector(build_mde(ANCHOR, 3)).components)
     with pytest.raises(ValueError):
-        minimal_vector(sys, 9)
+        mv.components[0].truncate(9)
 
 
 def test_ode_residual_zero_on_solutions():
@@ -166,6 +169,28 @@ def test_ode_residual_detects_perturbation():
     assert res.coeffs[0] == 0
     assert res.coeffs[1] == indicial_phi(sys, Fraction(1, 7) + 1) == Fraction(24, 49)
     assert any(c != 0 for c in res.coeffs[2:])
+
+
+def test_ode_residual_matches_oracle_on_non_solutions():
+    # res_n = sum_{j<n} f_j phi_{n-j}(r + j) + phi(r + n) f_n, from the
+    # oracle's g-series, for random series whose exponent r is not a multiple
+    # of 1/N and whose order is above, at or below the system's.
+    rng = random.Random(SEED)
+    for t in (ANCHOR, UNBOUNDED, validate_triple(0, 3, 5, 8)):
+        sys = build_mde(t, 12)
+        gj = oracle_g_series(t, 12)
+        for r, order in ((Fraction(2, 3 * t.N + 1), 15), (Fraction(5, 97), 12),
+                         (Fraction(0), 7), (Fraction(t.N - 1, t.N + 1), 12)):
+            f = [Fraction(rng.randrange(-99, 100), rng.randrange(1, 30))
+                 for _ in range(order + 1)]
+            res = ode_residual(sys, QExpansion(r, f))
+            T = min(order, 12)
+            assert res.exponent == r and res.order == T
+            assert list(res.coeffs) == [
+                sum(f[j] * oracle_phi_j(gj, n - j, r + j) for j in range(n))
+                + oracle_phi(gj, r + n) * f[n]
+                for n in range(T + 1)
+            ], (t, r)
 
 
 def test_derived_basis_anchor():

@@ -28,13 +28,15 @@ def test_constructor_validates_exponent_range():
 def test_coefficient_and_truncate():
     f = _series((1, 3), [1, 2, 3])
     assert f.order == 2
-    assert f.coefficient(1) == 2
-    with pytest.raises(ValueError):
-        f.coefficient(3)
+    assert f.coeffs[1] == 2
+    assert f.truncate(2) is f
     g = f.truncate(1)
     assert g.coeffs == (1, 2) and g.exponent == f.exponent
+    assert f.truncate(0).order == 0
     with pytest.raises(ValueError):
-        f.truncate(5)
+        f.truncate(3)
+    with pytest.raises(ValueError, match="truncation order"):
+        f.truncate(-1)
 
 
 def test_addition_requires_matching_exponents():

@@ -27,7 +27,7 @@ from vvmf3.qseries import QExpansion
 
 # Thresholds above which each small prime escapes the bounded part of the
 # level; primes > 7 escape at exponent 1.
-_ESCAPE = {2: 8, 3: 4, 5: 2, 7: 2}
+_ESCAPE = {2: 8, 3: 6, 5: 2, 7: 2}
 
 
 def test_z_n_anchor_values() -> None:
@@ -252,8 +252,11 @@ def test_ubd_criterion_pins() -> None:
     assert ubd_criterion(512) == [2]
     assert ubd_criterion(343) == [7]
     assert ubd_criterion(1) == []
-    bounded = 2**8 * 3**4 * 5**2 * 7**2
+    bounded = 2**8 * 3**6 * 5**2 * 7**2
     assert ubd_criterion(bounded) == []
+    # Case 7 predicts nu_3(z) = 3, so p = 3 needs nu_3(N) >= 7.
+    assert ubd_criterion(3**5) == ubd_criterion(3**6) == []
+    assert ubd_criterion(3**7) == [3]
     assert ubd_criterion(bounded * 13) == [13]
     with pytest.raises(ValueError):
         ubd_criterion(0)
@@ -282,7 +285,6 @@ def test_denominator_profile_unbounded_pattern() -> None:
     by_prime = {s.prime: s for s in profile.stats}
     stats11 = by_prime[11]
     assert stats11.min_valuation == -109
-    assert stats11.min_index == 100
     assert stats11.strictly_decreasing
     assert stats11.last_new_min_index == 100
     # The deepest observed valuation matches the law at the window edge.
@@ -326,7 +328,6 @@ def test_denominator_profile_boundary_of_late_minimum() -> None:
         profile = denominator_profile(series)
         assert profile.verdict == verdict
         assert profile.stats[0].last_new_min_index == last
-        assert profile.stats[0].min_index == last
 
 
 @pytest.mark.parametrize(
@@ -448,17 +449,22 @@ def test_predicted_valuation_matches_verify_formula_column(monkeypatch, tup, p) 
 def test_denominator_profile_validation() -> None:
     series = QExpansion(exponent=Fraction(0), coeffs=(Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
-        denominator_profile(series, n_max=5)
-    with pytest.raises(ValueError, match="n_max"):
-        denominator_profile(series, n_max=-1)
-    assert denominator_profile(series, n_max=0).window == 0
-    assert denominator_profile(series, n_max=1).verdict == "all-integral"
+        denominator_profile(series.truncate(5))
+    with pytest.raises(ValueError):
+        denominator_profile(series.truncate(-1))
+    assert denominator_profile(series.truncate(0)).window == 0
+    assert denominator_profile(series).window == 1
+    assert denominator_profile(series.truncate(1)).verdict == "all-integral"
 
 
 def test_classifier_agrees_with_criterion_on_samples() -> None:
-    # Every criterion prime at sampled levels lands in a covered, verified
-    # case whose formula hypothesis holds.
-    for t in sample_triples(8, level_max=60):
+    # Every criterion prime lands in a covered case whose formula hypothesis
+    # holds: at sampled levels, at every triple of level 243 = 3^5 (where
+    # 3 | omega would need nu_3(N) >= 7) and at sampled levels 3^7, 2 * 3^7.
+    triples = sample_triples(8, level_max=60) + enumerate_level(243)
+    for level in (2187, 4374):
+        triples += sample_triples(40, level_max=level, level_min=level)
+    for t in triples:
         for p in ubd_criterion(t.N):
             case = classify_prime(t, p)
             assert case.case_id is not None
