@@ -42,6 +42,7 @@ from .reps import (
     FamilyResult,
     InvalidTripleError,
     RepTriple,
+    classify_level,
     classify_triple,
     enumerate_level,
     gamma02_family,
@@ -83,6 +84,7 @@ __all__ = [
     "ValuationValue",
     "bernoulli",
     "build_mde",
+    "classify_level",
     "classify_prime",
     "classify_triple",
     "component_series",

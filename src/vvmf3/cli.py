@@ -19,8 +19,9 @@ or a reader that closed the output pipe early, 2 formula mismatch reported by
 
 Each subcommand computes and checks its result before anything is written, so
 invalid input never opens --output; then only the requested format is built.
-`scan --format csv` streams its rows in constant memory.  `table` holds every
-row to size its columns, and `json` holds every row to write `count` first.
+`scan` classifies each level once.  Its `csv` streams in constant memory; its
+`table` and `json` hold every row, as five ints and the cells or JSON text of a
+shared classification, to size the columns and to write `count` first.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
@@ -42,8 +43,8 @@ from .reps import (
     CharacterData,
     Classification,
     RepTriple,
+    classify_level,
     classify_triple,
-    enumerate_level,
     gamma02_family,
     gamma3_family,
     validate_triple,
@@ -71,17 +72,29 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class _Result:
-    """One computed result and its two views, built only when rendered.
+    """One computed result and its three views, each built only when rendered.
 
-    ``json_obj()`` builds the JSON object; ``rows`` is the iterable that CSV
-    and the table share.  The table prints ``preamble`` lines above the
-    aligned rows.
+    ``json()`` and ``table()`` give the text of their format in chunks; CSV
+    writes ``header`` and then ``rows``, whose ints it formats itself.
     """
 
-    json_obj: Callable[[], object]
+    json: Callable[[], Iterable[str]]
+    table: Callable[[], Iterable[str]]
     header: tuple[str, ...]
-    rows: Iterable[tuple]
-    preamble: list[str] = field(default_factory=list)
+    rows: Iterable[Sequence[object]]
+
+
+_ENCODER = json.JSONEncoder(indent=2)
+
+
+def _result(json_obj: Callable[[], object], header: tuple[str, ...],
+            rows: Iterable[Sequence[object]], preamble: Sequence[str] = ()) -> _Result:
+    """The views of a generic result: the JSON encoder's chunks (as json.dump
+    writes them) and the ``preamble`` lines above the aligned rows."""
+    cells = ([_fmt(v) for v in row] for row in rows)
+    return _Result(lambda: chain(_ENCODER.iterencode(json_obj()), "\n"),
+                   lambda: (line + "\n" for line in chain(preamble, _aligned(header, cells))),
+                   header, cells)
 
 
 def _fmt(x: object) -> str:
@@ -102,8 +115,8 @@ def _label(t: RepTriple) -> str:
     return f"({t.A},{t.B},{t.C},{t.N})"
 
 
-def _aligned(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
-    cells = [[_fmt(v) for v in row] for row in rows]
+def _aligned(header: Sequence[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    cells = list(rows)
     widths = [max(map(len, column)) for column in zip(header, *cells)]
     for row in [header, *cells]:
         yield "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
@@ -132,13 +145,23 @@ _CLASS_FIELDS = ("small_level_congruence", "level7_primitive", "gamma02_pattern_
                  "ubd_primes")
 
 
-def _class_cells(cls: Classification) -> tuple[object, ...]:
-    return (cls.congruence_by_small_level, cls.primitive_level7, cls.gamma02_pattern,
-            _spaced(cls.ubd_primes))
+def _class_cells(cls: Classification) -> tuple[str, ...]:
+    return (str(cls.congruence_by_small_level), str(cls.primitive_level7),
+            _fmt(cls.gamma02_pattern), _spaced(cls.ubd_primes))
 
 
 def _class_json(t: RepTriple, cls: Classification) -> dict:
     return {"triple": t.to_json_dict(), "classification": cls.to_json_dict()}
+
+
+# One row of scan's json.dump(..., indent=2) output: the triple's five ints
+# and the classification's own dump, re-indented by _class_text.
+_SCAN_ROW = ('    {\n      "triple": {\n        "A": %d,\n        "B": %d,\n        "C": %d,\n'
+             '        "N": %d,\n        "k0": %d\n      },\n      "classification": %s\n    }')
+
+
+def _class_text(cls: Classification) -> str:
+    return json.dumps(cls.to_json_dict(), indent=2).replace("\n", "\n      ")
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -157,7 +180,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> tuple[_Result, int]:
         f"exponents {', '.join(_fmt(c.exponent) for c in comps)}",
         "",
     ]
-    return _Result(json_obj, header, rows, preamble), EXIT_OK
+    return _result(json_obj, header, rows, preamble), EXIT_OK
 
 
 def _cmd_params(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -178,7 +201,7 @@ def _cmd_params(args: argparse.Namespace) -> tuple[_Result, int]:
         fields = {k: _fmt(v) if type(v) is Fraction else v for k, v in rows}
         return {"triple": t.to_json_dict(), **fields}
 
-    return _Result(json_obj, ("field", "value"), rows), EXIT_OK
+    return _result(json_obj, ("field", "value"), rows), EXIT_OK
 
 
 def _cmd_valuations(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -192,7 +215,7 @@ def _cmd_valuations(args: argparse.Namespace) -> tuple[_Result, int]:
     ]
     mismatch = report.applicable and report.verdict != "formula-verified"
     header = ("n", "observed", "predicted")
-    result = _Result(report.to_json_dict, header, report.rows, preamble)
+    result = _result(report.to_json_dict, header, report.rows, preamble)
     return result, EXIT_MISMATCH if mismatch else EXIT_OK
 
 
@@ -205,7 +228,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[_Result, int]:
         *zip(_CLASS_FIELDS, _class_cells(cls)),
         ("notes", "; ".join(cls.notes)),
     ]
-    return _Result(lambda: _class_json(t, cls), ("field", "value"), rows), EXIT_OK
+    return _result(lambda: _class_json(t, cls), ("field", "value"), rows), EXIT_OK
 
 
 def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -214,18 +237,39 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
     if lo < 1 or hi < lo:
         raise _CliError(f"--level/--level-max must satisfy 1 <= N <= M, got {lo}, {hi}")
 
-    def pairs() -> Iterator[tuple[RepTriple, Classification]]:
-        for level in range(lo, hi + 1):
-            for t in enumerate_level(level):
-                yield t, classify_triple(t)
-
-    def json_obj() -> dict:
-        rows = [_class_json(t, cls) for t, cls in pairs()]
-        return {"level": lo, "level_max": hi, "count": len(rows), "rows": rows}
-
     header = ("N", "A", "B", "C", "k0", *_CLASS_FIELDS)
-    rows = ((t.N, t.A, t.B, t.C, t.k0, *_class_cells(cls)) for t, cls in pairs())
-    return _Result(json_obj, header, rows), EXIT_OK
+
+    def pairs(view: Callable[[Classification], object]) -> Iterator[tuple[RepTriple, object]]:
+        # One view per Classification object: classify_level shares them.
+        for level in map(classify_level, range(lo, hi + 1)):
+            distinct = {id(cls): cls for _, cls in level}
+            views = {key: view(cls) for key, cls in distinct.items()}
+            for t, cls in level:
+                yield t, views[id(cls)]
+
+    def json_text() -> Iterator[str]:
+        rows = [(t.A, t.B, t.C, t.N, t.k0, text) for t, text in pairs(_class_text)]
+        yield f'{{\n  "level": {lo},\n  "level_max": {hi},\n  "count": {len(rows)},\n  "rows": ['
+        for i, row in enumerate(rows):
+            yield (",\n" if i else "\n") + _SCAN_ROW % row
+        yield "\n  ]\n}\n" if rows else "]\n}\n"
+
+    def table_text() -> Iterator[str]:
+        rows = [(t.N, t.A, t.B, t.C, t.k0, c) for t, c in pairs(_class_cells)]
+        *ints, classes = zip(*rows) if rows else [()] * 6
+        distinct = {id(c): c for c in classes}.values()
+        # The widest int of a column is its min or its max.
+        widths = [max(len(h), len(str(min(col, default=0))), len(str(max(col, default=0))))
+                  for h, col in zip(header, ints)]
+        widths += [max(map(len, col)) for col in zip(header[5:], *distinct)]
+        yield "  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
+        line = "".join(f"%-{w}d  " for w in widths[:5]) + "%s\n"
+        suffix = {id(c): "  ".join(map(str.ljust, c, widths[5:])).rstrip() for c in distinct}
+        for n, a, b, c, k0, cl in rows:
+            yield line % (n, a, b, c, k0, suffix[id(cl)])
+
+    rows = ((t.N, t.A, t.B, t.C, t.k0) + c for t, c in pairs(_class_cells))
+    return _Result(json_text, table_text, header, rows), EXIT_OK
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -245,7 +289,7 @@ def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:
         ("pattern_M", result.finite_image_pattern_m),
         *((f"chi({k})", _fmt(v)) for k, v in result.chi_exponents.items()),
     ]
-    return _Result(result.to_json_dict, ("field", "value"), rows), EXIT_OK
+    return _result(result.to_json_dict, ("field", "value"), rows), EXIT_OK
 
 
 def _cmd_eisenstein(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -254,7 +298,7 @@ def _cmd_eisenstein(args: argparse.Namespace) -> tuple[_Result, int]:
     def json_obj() -> dict:
         return {"weight": args.weight, "series": f.to_json_dict()}
 
-    return _Result(json_obj, ("n", "coefficient"), enumerate(f.coeffs)), EXIT_OK
+    return _result(json_obj, ("n", "coefficient"), enumerate(f.coeffs)), EXIT_OK
 
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -282,7 +326,7 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[_Result, int]:
         yield "det", basis.determinant
         yield "vandermonde", basis.vandermonde
 
-    return _Result(json_obj, ("field", "value"), rows()), EXIT_OK
+    return _result(json_obj, ("field", "value"), rows()), EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -349,16 +393,12 @@ def _build_parser() -> _Parser:
 
 
 def _render(result: _Result, fmt: str, out: TextIO) -> None:
-    if fmt == "json":
-        json.dump(result.json_obj(), out, indent=2)
-        out.write("\n")
-    elif fmt == "csv":
+    if fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(result.header)
-        writer.writerows([_fmt(v) for v in row] for row in result.rows)
+        writer.writerows(result.rows)
     else:
-        for line in chain(result.preamble, _aligned(result.header, result.rows)):
-            out.write(line + "\n")
+        out.writelines(result.json() if fmt == "json" else result.table())
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

@@ -226,29 +226,21 @@ def lambda_n(t: RepTriple, lead: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"lambda_n needs n >= 1, got {n}")
-    if lead not in (t.A, t.B, t.C):
-        raise ValueError(f"lead exponent {lead} is not one of {(t.A, t.B, t.C)}")
-    sig, nn = t.sigma, t.N * n
-    val = nn * (nn + 3 * lead - sig) + lead * (3 * lead - 2 * sig) + t.omega
-    # Zero would mean a resonant exponent pair, impossible for distinct
-    # exponents in [0, 1).
-    if val == 0:
-        raise ArithmeticError(f"lambda_n vanishes for {t}, lead {lead}, n = {n}")
-    return val
+    return _recursion_c(t, lead, n, first=n)[0] // (6 * t.N * n)
 
 
-def _recursion_c(t: RepTriple, lead: int, T: int) -> list[int]:
-    """[c_1, ..., c_T] with c_k = 6N k lambda(k), checking the lead once.
+def _recursion_c(t: RepTriple, lead: int, T: int, first: int = 1) -> list[int]:
+    """[c_first, ..., c_T] with c_k = 6N k lambda(k), checking the lead once.
 
-    Raises as lambda_n does: ValueError for a lead that is not an exponent,
-    ArithmeticError for a vanishing lambda(k).
+    Raises ValueError for a lead that is not an exponent and ArithmeticError
+    for a zero lambda(k), a resonance impossible for distinct exponents.
     """
     if lead not in (t.A, t.B, t.C):
         raise ValueError(f"lead exponent {lead} is not one of {(t.A, t.B, t.C)}")
     sig, n_level = t.sigma, t.N
     d, e = 3 * lead - sig, lead * (3 * lead - 2 * sig) + t.omega
     c = []
-    for k in range(1, T + 1):
+    for k in range(first, T + 1):
         nn = n_level * k
         val = nn * (nn + d) + e
         if val == 0:

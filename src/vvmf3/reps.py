@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .arith import prime_factors, rational_str
 
@@ -23,6 +23,7 @@ __all__ = [
     "FamilyResult",
     "InvalidTripleError",
     "RepTriple",
+    "classify_level",
     "classify_triple",
     "enumerate_level",
     "gamma02_family",
@@ -379,18 +380,37 @@ def ubd_criterion(N: int) -> list[int]:
     return [p for p, _ in prime_factors(rest)]
 
 
+def _classifier(N: int) -> Callable[[RepTriple], Classification]:
+    """Classification of level-N triples: one shared object per distinct value."""
+    primes = tuple(ubd_criterion(N))
+    shared: dict[tuple[bool, Optional[int]], Classification] = {}
+
+    def classify(t: RepTriple) -> Classification:
+        primitive = N == 7 and frozenset({t.A, t.B, t.C}) in LEVEL7_PRIMITIVE_CLASSES
+        key = (primitive, _pattern_m(t))
+        cls = shared.get(key)
+        if cls is None:
+            notes = (PRIMITIVE_NOTE,) if primitive else ()
+            cls = shared[key] = Classification(N < 6, primitive, key[1], primes, notes)
+        return cls
+
+    return classify
+
+
 def classify_triple(t: RepTriple) -> Classification:
     """Classification flags for a validated triple.
 
     >>> classify_triple(validate_triple(1, 3, 7, 11)).ubd_primes
     (11,)
     """
-    primitive = t.N == 7 and frozenset({t.A, t.B, t.C}) in LEVEL7_PRIMITIVE_CLASSES
-    notes = (PRIMITIVE_NOTE,) if primitive else ()
-    return Classification(
-        congruence_by_small_level=t.N < 6,
-        primitive_level7=primitive,
-        gamma02_pattern=_pattern_m(t),
-        ubd_primes=tuple(ubd_criterion(t.N)),
-        notes=notes,
-    )
+    return _classifier(t.N)(t)
+
+
+def classify_level(N: int) -> list[tuple[RepTriple, Classification]]:
+    """(t, classify_triple(t)) for t in enumerate_level(N), the level's cells once.
+
+    >>> [c.primitive_level7 for _, c in classify_level(7)]
+    [False, False, False, True, True]
+    """
+    classify = _classifier(N)
+    return [(t, classify(t)) for t in enumerate_level(N)]

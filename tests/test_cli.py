@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, output routing."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -10,12 +11,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vvmf3.cli as cli
 from vvmf3.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, FORMAT_ENV_VAR, run
 from vvmf3.mde import build_mde, minimal_vector
 from vvmf3.qseries import QExpansion
-from vvmf3.reps import enumerate_level, validate_triple
+from vvmf3.reps import classify_triple, enumerate_level, validate_triple
 from vvmf3.valuation import verify_formula
 
 
@@ -135,11 +138,50 @@ def test_scan_csv_and_json_agree(capsys) -> None:
 
 def test_scan_csv_builds_no_json(capsys, monkeypatch) -> None:
     def fail(*args):
-        raise AssertionError("JSON row built for csv output")
+        raise AssertionError("JSON text built for csv output")
 
-    monkeypatch.setattr(cli, "_class_json", fail)
+    monkeypatch.setattr(cli, "_class_text", fail)
     assert run(["scan", "--level", "7", "--format", "csv"]) == EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 6
+    # The patched function is what json output uses.
+    with pytest.raises(AssertionError, match="JSON text"):
+        run(["scan", "--level", "7", "--format", "json"])
+
+
+def _scan_reference(lo: int, hi: int, fmt: str) -> str:
+    """scan's output built the plain way: json.dumps, csv.writer, ljust."""
+    pairs = [(t, classify_triple(t)) for n in range(lo, hi + 1) for t in enumerate_level(n)]
+    if fmt == "json":
+        rows = [{"triple": t.to_json_dict(), "classification": c.to_json_dict()}
+                for t, c in pairs]
+        data = {"level": lo, "level_max": hi, "count": len(rows), "rows": rows}
+        return json.dumps(data, indent=2) + "\n"
+    header = ["N", "A", "B", "C", "k0", "small_level_congruence", "level7_primitive",
+              "gamma02_pattern_M", "ubd_primes"]
+    rows = [[str(t.N), str(t.A), str(t.B), str(t.C), str(t.k0),
+             str(c.congruence_by_small_level), str(c.primitive_level7),
+             "" if c.gamma02_pattern is None else str(c.gamma02_pattern),
+             " ".join(map(str, c.ubd_primes))] for t, c in pairs]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        return buf.getvalue()
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+                   for row in [header, *rows])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("lo, hi", [(1, 2), (1, 12), (5, 8), (60, 66)])
+def test_scan_output_matches_reference(lo, hi, fmt, capsys) -> None:
+    # 1..2 has no triples; level 12 has k0 < 0 and cells wider than their
+    # header; level 7 has notes; 60..66 has ubd_primes and gamma02 patterns.
+    argv = ["scan", "--level", str(lo), "--level-max", str(hi), "--format", fmt]
+    assert run(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == _scan_reference(lo, hi, fmt)
+    if (lo, hi) == (1, 2):
+        assert '"rows": []' in out if fmt == "json" else len(out.splitlines()) == 1
 
 
 def test_scan_invalid_range(capsys) -> None:
@@ -283,3 +325,50 @@ def test_broken_pipe_exits_one_without_traceback() -> None:
     assert err == b""
     assert first.split() == [b"N", b"A", b"B", b"C", b"k0", b"small_level_congruence",
                              b"level7_primitive", b"gamma02_pattern_M", b"ubd_primes"]
+
+
+def _option(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
+    return values.map(lambda v: [flag, str(v)])
+
+
+_SMALL = st.integers(-2, 14)
+_TRIPLE = st.one_of(
+    st.sampled_from([f"{t.C},{t.A},{t.B},{t.N}"
+                     for n in range(1, 17) for t in enumerate_level(n)]),
+    st.tuples(_SMALL, _SMALL, _SMALL, st.integers(-2, 16)).map(
+        lambda v: ",".join(map(str, v))),
+    st.text(alphabet="0123456789,-+ x.", max_size=12),
+)
+_TERMS = _option("--terms", st.integers(-2, 12))
+_ARGV = st.tuples(
+    st.one_of(
+        st.tuples(st.just(["coeffs"]), _option("--triple", _TRIPLE), _TERMS),
+        st.tuples(st.just(["params"]), _option("--triple", _TRIPLE)),
+        st.tuples(st.just(["valuations"]), _option("--triple", _TRIPLE),
+                  _option("--prime", st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13]), _SMALL)), _TERMS),
+        st.tuples(st.just(["classify"]), _option("--triple", _TRIPLE)),
+        st.tuples(st.just(["scan"]), _option("--level", st.integers(-2, 16)),
+                  _option("--level-max", st.integers(-2, 16))),
+        st.tuples(st.just(["family", "gamma02"]), _option("--M", _SMALL),
+                  _option("--A", _SMALL), _option("--x", _SMALL)),
+        st.tuples(st.just(["family", "gamma3"]), _option("--x0", _SMALL),
+                  _option("--x1", _SMALL), _option("--x2", _SMALL)),
+        st.tuples(st.just(["eisenstein"]), _option("--weight", _SMALL), _TERMS),
+        st.tuples(st.just(["basis"]), _option("--triple", _TRIPLE), _TERMS),
+    ),
+    _option("--format", st.sampled_from(["json", "csv", "table"])),
+).map(lambda parts: [arg for part in (*parts[0], parts[1]) for arg in part])
+
+
+@given(_ARGV)
+@settings(max_examples=500, deadline=None)
+def test_run_fuzzed_argv_exits_cleanly(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_MISMATCH), (argv, code)
+    if code == EXIT_INVALID:
+        assert err.getvalue().startswith("error:"), argv
+    if code == EXIT_OK and argv[0] == "scan" and argv[-1] == "json":
+        data = json.loads(out.getvalue())
+        assert data["count"] == len(data["rows"])

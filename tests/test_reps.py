@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vvmf3.reps as reps
 from vvmf3.reps import (
     CharacterData,
     InvalidTripleError,
     RepTriple,
+    classify_level,
     classify_triple,
     enumerate_level,
     gamma02_family,
@@ -215,3 +217,22 @@ def test_family_json_round_trip():
     assert data["triple"]["N"] == 8
     assert data["params"] == {"family": "gamma02", "M": 4, "A": 1, "x": 0}
     assert RepTriple.from_json_dict(data["triple"]) == res.triple
+
+
+def test_classify_level_matches_classify_triple(monkeypatch):
+    levels = []
+
+    def counting(N):
+        levels.append(N)
+        return real(N)
+
+    real = reps.ubd_criterion
+    monkeypatch.setattr(reps, "ubd_criterion", counting)
+    for N in range(1, 121):
+        pairs = classify_level(N)
+        assert levels == [N]  # the level-only cells are computed once
+        assert pairs == [(t, classify_triple(t)) for t in enumerate_level(N)]
+        shared = {}
+        for _, cls in pairs:
+            assert shared.setdefault(cls, cls) is cls
+        levels.clear()
