@@ -37,7 +37,6 @@ from .qseries import (
     modular_derivative,
 )
 from .reps import (
-    CharacterData,
     Classification,
     FamilyResult,
     InvalidTripleError,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INFINITY",
-    "CharacterData",
     "Classification",
     "DenominatorProfile",
     "DerivedBasis",

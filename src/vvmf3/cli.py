@@ -40,7 +40,6 @@ from .arith import rational_str
 from .mde import build_mde, derived_basis, minimal_vector
 from .qseries import eisenstein
 from .reps import (
-    CharacterData,
     Classification,
     RepTriple,
     classify_level,
@@ -193,8 +192,8 @@ def _cmd_params(args: argparse.Namespace) -> tuple[_Result, int]:
         ("x6", sys_.x6),
         ("alpha4", sys_.alpha4),
         ("alpha6", sys_.alpha6),
-        *((f"{label}_head", _spaced(g.coeffs[:7]))
-          for label, g in (("g2", sys_.g2), ("g1", sys_.g1), ("g0", sys_.g0))),
+        *((f"g{j}_head", _spaced(Fraction(v, 6 * t.N ** (3 - j)) for v in h[:7]))
+          for j, h in ((2, sys_.h2), (1, sys_.h1), (0, sys_.h0))),
     ]
 
     def json_obj() -> dict:
@@ -274,14 +273,13 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
 
 def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:
     if args.family_kind == "gamma02":
-        result = gamma02_family(CharacterData.gamma02(args.M, args.A, args.x))
+        result = gamma02_family(args.M, args.A, args.x)
     else:
-        result = gamma3_family(CharacterData.gamma3(args.x0, args.x1, args.x2))
+        result = gamma3_family(args.x0, args.x1, args.x2)
     t = result.triple
-    params = result.params.to_json_dict()
     rows: list[tuple[str, object]] = [
         ("family", result.family),
-        ("params", " ".join(f"{k}={v}" for k, v in params.items() if k != "family")),
+        ("params", " ".join(f"{k}={v}" for k, v in result.params.items())),
         ("exponents", _spaced(result.exponents)),
         ("triple", _label(t)),
         ("k0", t.k0),

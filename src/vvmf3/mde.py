@@ -6,7 +6,8 @@ equation in the q-variable,
     q^3 f''' + g2(q) q^2 f'' + g1(q) q f' + g0(q) f = 0,
 
 whose coefficient series g_j are exact rational combinations of Eisenstein
-series determined by two rational parameters alpha4 and alpha6.  Those in turn
+series determined by two rational parameters alpha4 and alpha6.  The system
+keeps each g_j only as the integer array h_j = 6N^(3-j) g_j.  Those in turn
 come from integers x0, x4, x6 determined by the triple:
 
     x0 = 4*sigma - 2N
@@ -32,12 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import add, mul
 from typing import Optional
 
-from .arith import RationalLike, rational_str
+from .arith import RationalLike
 from .qseries import QExpansion, _convolve, _eisenstein_coeffs, _integral, modular_derivative
 from .reps import RepTriple
 
@@ -60,9 +60,8 @@ __all__ = [
 class MDESystem:
     """The differential system for one triple, built to a fixed order.
 
-    h0, h1, h2 are the integer arrays 6N^3*g0(n), 6N^2*g1(n), 6N*g2(n) that
-    every computation reads; g0, g1, g2 are their exact series (exponent 0),
-    a view for display and the phi polynomials, built on first use.
+    h0, h1, h2 are the integer arrays 6N^3*g0(n), 6N^2*g1(n), 6N*g2(n), the
+    one form of the equation: g_j(n) = h_j[n] / (6N^(3-j)).
     """
 
     triple: RepTriple
@@ -76,37 +75,6 @@ class MDESystem:
     h1: tuple[int, ...]
     h2: tuple[int, ...]
 
-    def _series(self, h: tuple[int, ...], power: int) -> QExpansion:
-        den = 6 * self.triple.N**power
-        return QExpansion(0, (Fraction(v, den) for v in h))
-
-    @cached_property
-    def g0(self) -> QExpansion:
-        return self._series(self.h0, 3)
-
-    @cached_property
-    def g1(self) -> QExpansion:
-        return self._series(self.h1, 2)
-
-    @cached_property
-    def g2(self) -> QExpansion:
-        return self._series(self.h2, 1)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "triple": self.triple.to_json_dict(),
-            "k0": self.triple.k0,
-            "x0": self.x0,
-            "x4": self.x4,
-            "x6": self.x6,
-            "alpha4": rational_str(self.alpha4),
-            "alpha6": rational_str(self.alpha6),
-            "order": self.order,
-            "g2": self.g2.to_json_dict(),
-            "g1": self.g1.to_json_dict(),
-            "g0": self.g0.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class MinimalVector:
@@ -118,9 +86,6 @@ class MinimalVector:
         for comp in self.components:
             if comp.coeffs[0] != 1:
                 raise ValueError("minimal vector components must lead with 1")
-
-    def to_json_dict(self) -> dict:
-        return {"components": [c.to_json_dict() for c in self.components]}
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -200,12 +165,7 @@ def indicial_phi(sys: MDESystem, lam: RationalLike) -> Fraction:
     Its roots are exactly the leading exponents A/N, B/N, C/N.
     """
     lam = Fraction(lam)
-    return (
-        lam * (lam - 1) * (lam - 2)
-        + sys.g2.coeffs[0] * lam * (lam - 1)
-        + sys.g1.coeffs[0] * lam
-        + sys.g0.coeffs[0]
-    )
+    return lam * (lam - 1) * (lam - 2) + _phi(sys, 0, lam)
 
 
 def phi_j(sys: MDESystem, j: int, lam: RationalLike) -> Fraction:
@@ -214,8 +174,13 @@ def phi_j(sys: MDESystem, j: int, lam: RationalLike) -> Fraction:
         raise ValueError(f"phi_j needs j >= 1, got {j}")
     if j > sys.order:
         raise ValueError(f"system built to order {sys.order}, requested j = {j}")
-    lam = Fraction(lam)
-    return sys.g2.coeffs[j] * lam * (lam - 1) + sys.g1.coeffs[j] * lam + sys.g0.coeffs[j]
+    return _phi(sys, j, Fraction(lam))
+
+
+def _phi(sys: MDESystem, m: int, lam: Fraction) -> Fraction:
+    """g2(m) lam(lam-1) + g1(m) lam + g0(m), read from the h arrays."""
+    n = sys.triple.N
+    return (sys.h2[m] * n * n * lam * (lam - 1) + sys.h1[m] * n * lam + sys.h0[m]) / (6 * n**3)
 
 
 def lambda_n(t: RepTriple, lead: int, n: int) -> int:

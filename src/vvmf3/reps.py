@@ -5,7 +5,8 @@ residues A < B < C modulo the level N, with gcd(A, B, C, N) = 1 so the level
 is exact, and N | 4(A+B+C) so the minimal weight k0 = (4*sigma - 2N)/N is an
 integer.  This module validates and enumerates such triples, constructs the
 two induced-character families (from the index-2 and index-3 subgroups of the
-modular group), and classifies triples for the unbounded-denominator search.
+modular group) from their integer character parameters, and classifies
+triples for the unbounded-denominator search.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Callable, Optional
 from .arith import prime_factors, rational_str
 
 __all__ = [
-    "CharacterData",
     "Classification",
     "FamilyResult",
     "InvalidTripleError",
@@ -160,63 +160,12 @@ def enumerate_level(N: int) -> list[RepTriple]:
 
 
 @dataclass(frozen=True)
-class CharacterData:
-    """Character parameters for one induced family.
-
-    The order-4 family ("gamma02") takes a modulus M >= 1, a residue A with
-    gcd(A, M) = 1 and 0 <= A < M, and a quarter-turn x in {0, 1, 2, 3}.  The
-    order-3 family ("gamma3") takes three quarter-turns x0, x1, x2 in
-    {0, 1, 2, 3}; their required parity agreement is checked at construction
-    time by :func:`gamma3_family`, not here.
-    """
-
-    family: str
-    M: Optional[int] = None
-    A: Optional[int] = None
-    x: Optional[int] = None
-    x0: Optional[int] = None
-    x1: Optional[int] = None
-    x2: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.family == "gamma02":
-            if self.M is None or self.A is None or self.x is None:
-                raise ValueError("gamma02 character data needs M, A, x")
-            if self.M < 1:
-                raise ValueError(f"M must be >= 1, got {self.M}")
-            if not 0 <= self.A < self.M:
-                raise ValueError(f"A must satisfy 0 <= A < M, got A={self.A}, M={self.M}")
-            if math.gcd(self.A, self.M) != 1:
-                raise ValueError(f"gcd(A, M) must be 1, got gcd({self.A}, {self.M})")
-            if self.x not in (0, 1, 2, 3):
-                raise ValueError(f"x must be one of 0..3, got {self.x}")
-        elif self.family == "gamma3":
-            for name, v in (("x0", self.x0), ("x1", self.x1), ("x2", self.x2)):
-                if v not in (0, 1, 2, 3):
-                    raise ValueError(f"{name} must be one of 0..3, got {v}")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-
-    @classmethod
-    def gamma02(cls, M: int, A: int, x: int) -> "CharacterData":
-        return cls(family="gamma02", M=M, A=A, x=x)
-
-    @classmethod
-    def gamma3(cls, x0: int, x1: int, x2: int) -> "CharacterData":
-        return cls(family="gamma3", x0=x0, x1=x1, x2=x2)
-
-    def to_json_dict(self) -> dict:
-        if self.family == "gamma02":
-            return {"family": self.family, "M": self.M, "A": self.A, "x": self.x}
-        return {"family": self.family, "x0": self.x0, "x1": self.x1, "x2": self.x2}
-
-
-@dataclass(frozen=True)
 class FamilyResult:
     """Induced triple plus family metadata.
 
-    ``exponents`` keeps the eigenvalue exponents in construction order (before
-    sorting into the canonical triple).  ``formula_level`` is the closed-form
+    ``params`` holds the family function's arguments by name.  ``exponents``
+    keeps the eigenvalue exponents in construction order (before sorting into
+    the canonical triple).  ``formula_level`` is the closed-form
     level 8M/gcd(4, Mx) for the gamma02 family (None for gamma3) and must
     agree with ``triple.N``.  ``finite_image_pattern_m`` is M' when the
     finite-image pattern N = 2M' with two exponents M' apart (M' >= 4) holds.
@@ -225,7 +174,7 @@ class FamilyResult:
     """
 
     family: str
-    params: CharacterData
+    params: dict[str, int]
     exponents: tuple[Fraction, ...]
     triple: RepTriple
     formula_level: Optional[int]
@@ -239,7 +188,7 @@ class FamilyResult:
     def to_json_dict(self) -> dict:
         return {
             "family": self.family,
-            "params": self.params.to_json_dict(),
+            "params": {"family": self.family, **self.params},
             "exponents": [rational_str(e) for e in self.exponents],
             "triple": self.triple.to_json_dict(),
             "level": self.level,
@@ -269,7 +218,13 @@ def _pattern_m(t: RepTriple) -> Optional[int]:
     return None
 
 
-def gamma02_family(data: CharacterData) -> FamilyResult:
+def _check_quarter_turns(**turns: int) -> None:
+    for name, v in turns.items():
+        if v not in (0, 1, 2, 3):
+            raise ValueError(f"{name} must be one of 0..3, got {v}")
+
+
+def gamma02_family(M: int, A: int, x: int) -> FamilyResult:
     """Induced triple for the order-4 presentation <E, P1, P2 | E^4 = E P1 P2 = 1>.
 
     chi(P2) = e(A/M), chi(E) = e(x/4); the remaining two eigenvalues are the
@@ -277,13 +232,18 @@ def gamma02_family(data: CharacterData) -> FamilyResult:
     The exponents are placed over the common denominator N = 8M/gcd(4, Mx)
     and validated at that level; inputs whose eigenvalue orders degenerate to
     a proper divisor of N (possible in the 2-adic part) fail the gcd
-    invariant and are rejected, as are eigenvalue collisions.
+    invariant and are rejected, as are eigenvalue collisions.  Needs M >= 1,
+    0 <= A < M with gcd(A, M) = 1, and x in {0, 1, 2, 3}.
     """
-    if data.family != "gamma02":
-        raise ValueError(f"expected gamma02 character data, got {data.family!r}")
-    m, a, x = data.M, data.A, data.x
-    e1 = Fraction(a, m) % 1
-    e2 = Fraction(-(4 * a + m * x), 8 * m) % 1
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    if not 0 <= A < M:
+        raise ValueError(f"A must satisfy 0 <= A < M, got A={A}, M={M}")
+    if math.gcd(A, M) != 1:
+        raise ValueError(f"gcd(A, M) must be 1, got gcd({A}, {M})")
+    _check_quarter_turns(x=x)
+    e1 = Fraction(A, M) % 1
+    e2 = Fraction(-(4 * A + M * x), 8 * M) % 1
     e3 = (e2 + Fraction(1, 2)) % 1
     if len({e1, e2, e3}) < 3:
         raise InvalidTripleError(
@@ -291,15 +251,15 @@ def gamma02_family(data: CharacterData) -> FamilyResult:
             f"eigenvalue exponents collide ({e1}, {e2}, {e3}); "
             "the induced representation is reducible",
         )
-    level = 8 * m // math.gcd(4, m * x)
+    level = 8 * M // math.gcd(4, M * x)
     scaled = sorted(e * level for e in (e1, e2, e3))
     # N * e_j is integral: gcd(4, Mx) divides both 4A + Mx and 4M.
     if any(v.denominator != 1 for v in scaled):
-        raise ArithmeticError(f"level {level} does not clear the exponents {scaled} of {data}")
+        raise ArithmeticError(f"level {level} does not clear the exponents {scaled}")
     triple = validate_triple(int(scaled[0]), int(scaled[1]), int(scaled[2]), level)
     return FamilyResult(
         family="gamma02",
-        params=data,
+        params={"M": M, "A": A, "x": x},
         exponents=(e1, e2, e3),
         triple=triple,
         formula_level=level,
@@ -307,21 +267,20 @@ def gamma02_family(data: CharacterData) -> FamilyResult:
         chi_exponents={
             "E": Fraction(x, 4) % 1,
             "P1": (2 * e2) % 1,
-            "P2": Fraction(a, m) % 1,
+            "P2": Fraction(A, M) % 1,
         },
     )
 
 
-def gamma3_family(data: CharacterData) -> FamilyResult:
+def gamma3_family(x0: int, x1: int, x2: int) -> FamilyResult:
     """Induced triple for the order-3 presentation with relation E0 E1 E2 P = 1.
 
     chi(E_j) = e(x_j/4); with x = -(x0+x1+x2), chi(P) = e(x/4) and the
     eigenvalue exponents are (x + 4j)/12 mod 1 for j = 0, 1, 2 (the three cube
-    roots of chi(P)).  Levels always divide 12.
+    roots of chi(P)).  Levels always divide 12.  Each x_j is in {0, 1, 2, 3},
+    and the three must agree mod 2.
     """
-    if data.family != "gamma3":
-        raise ValueError(f"expected gamma3 character data, got {data.family!r}")
-    x0, x1, x2 = data.x0, data.x1, data.x2
+    _check_quarter_turns(x0=x0, x1=x1, x2=x2)
     if not (x0 % 2 == x1 % 2 == x2 % 2):
         raise InvalidTripleError(
             "parity", f"quarter-turns must agree mod 2, got ({x0}, {x1}, {x2})"
@@ -331,7 +290,7 @@ def gamma3_family(data: CharacterData) -> FamilyResult:
     triple = _triple_from_exponents(list(exps))
     return FamilyResult(
         family="gamma3",
-        params=data,
+        params={"x0": x0, "x1": x1, "x2": x2},
         exponents=exps,
         triple=triple,
         formula_level=None,

@@ -89,6 +89,13 @@ def oracle_g_series(t: RepTriple, T: int) -> tuple[list[Fraction], ...]:
     return g0, g1, g2
 
 
+def g_series(sys: MDESystem) -> tuple[list[Fraction], ...]:
+    """(g0, g1, g2) of a built system, read from its h arrays: g_j = h_j / 6N^(3-j)."""
+    N = sys.triple.N
+    return tuple([Fraction(v, 6 * N ** (3 - j)) for v in h]
+                 for j, h in enumerate((sys.h0, sys.h1, sys.h2)))
+
+
 def oracle_phi_j(gj: tuple[list[Fraction], ...], j: int, lam: Fraction) -> Fraction:
     g0, g1, g2 = gj
     return g2[j] * lam * (lam - 1) + g1[j] * lam + g0[j]

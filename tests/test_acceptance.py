@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_level, sample_triples
+from conftest import brute_force_level, g_series, sample_triples
 from vvmf3.arith import int_valuation, sigma_k, valuation_p
 from vvmf3.mde import (
     build_mde,
@@ -26,7 +26,6 @@ from vvmf3.mde import (
 )
 from vvmf3.qseries import QExpansion
 from vvmf3.reps import (
-    CharacterData,
     InvalidTripleError,
     enumerate_level,
     gamma02_family,
@@ -77,7 +76,7 @@ def test_criterion_02_g_series_anchors() -> None:
         for t in sample:
             sig, om, pi, N = t.sigma, t.omega, t.product, t.N
             sys = build_mde(t, 50)
-            G0, G1, G2 = sys.g0.coeffs, sys.g1.coeffs, sys.g2.coeffs
+            G0, G1, G2 = g_series(sys)
             assert G2[0] == 3 - Fraction(sig, N)
             assert G1[0] == G2[0] + Fraction(om, N**2) - 2
             assert G0[0] == -Fraction(pi, N**3)
@@ -96,11 +95,11 @@ def test_criterion_03_integrality() -> None:
             N = t.N
             d2 = 0 if N % 2 == 0 else 1
             d3 = 0 if N % 3 == 0 else 1
-            sys = build_mde(t, 50)
+            g0, g1, g2 = g_series(build_mde(t, 50))
             for n in range(2, 51):
-                assert sys.g2.coeffs[n].denominator == 1
-                assert (3**d3 * N**2 * sys.g1.coeffs[n]).denominator == 1
-                assert (2**d2 * 3**d3 * N**3 * sys.g0.coeffs[n]).denominator == 1
+                assert g2[n].denominator == 1
+                assert (3**d3 * N**2 * g1[n]).denominator == 1
+                assert (2**d2 * 3**d3 * N**3 * g0[n]).denominator == 1
 
 
 def test_criterion_04_ode_residual() -> None:
@@ -177,18 +176,18 @@ def test_criterion_07_bounded_contrast() -> None:
 
 def test_criterion_08_families() -> None:
     with criterion(8, "induced families: pins and the M <= 12 grid invariants"):
-        res = gamma02_family(CharacterData.gamma02(4, 1, 0))
+        res = gamma02_family(4, 1, 0)
         t = res.triple
         assert (t.A, t.B, t.C, t.N) == (2, 3, 7, 8)
         assert t.C == t.B + 4
 
         with pytest.raises(InvalidTripleError) as exc_info:
-            gamma02_family(CharacterData.gamma02(4, 1, 1))
+            gamma02_family(4, 1, 1)
         assert exc_info.value.code == "collision"
 
-        t0 = gamma3_family(CharacterData.gamma3(0, 0, 0)).triple
+        t0 = gamma3_family(0, 0, 0).triple
         assert (t0.A, t0.B, t0.C, t0.N) == (0, 1, 2, 3)
-        t2 = gamma3_family(CharacterData.gamma3(2, 2, 2)).triple
+        t2 = gamma3_family(2, 2, 2).triple
         assert (t2.A, t2.B, t2.C, t2.N) == (1, 3, 5, 6)
 
         valid = 0
@@ -198,7 +197,7 @@ def test_criterion_08_families() -> None:
                     continue
                 for x in range(4):
                     try:
-                        res = gamma02_family(CharacterData.gamma02(m, a, x))
+                        res = gamma02_family(m, a, x)
                     except InvalidTripleError:
                         continue
                     valid += 1

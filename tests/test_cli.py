@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vvmf3.cli as cli
+from conftest import oracle_g_series
 from vvmf3.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, FORMAT_ENV_VAR, run
 from vvmf3.mde import build_mde, minimal_vector
 from vvmf3.qseries import QExpansion
@@ -54,6 +56,19 @@ def test_params_json(capsys) -> None:
     assert data["alpha4"] == "-5/252"
     assert data["alpha6"] == "85/74088"
     assert data["g2_head"].split()[:3] == ["2", "24", "72"]
+
+
+@pytest.mark.parametrize("triple", ["1,2,4,7", "2,3,7,8", "1,2,6,9", "1,3,7,11"])
+def test_params_heads_match_oracle(triple, capsys) -> None:
+    # Levels 7, 8, 9 and 11: each g_j head is h_j over 6N^(3-j), term by term.
+    g0, g1, g2 = oracle_g_series(validate_triple(*map(int, triple.split(","))), 6)
+    expected = {"g0_head": g0, "g1_head": g1, "g2_head": g2}
+    assert run(["params", "--triple", triple, "--format", "json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert {k: [Fraction(v) for v in data[k].split()] for k in expected} == expected
+    assert run(["params", "--triple", triple, "--format", "table"]) == EXIT_OK
+    fields = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert {k: [Fraction(v) for v in fields[k].split()] for k in expected} == expected
 
 
 def test_valuations_verified_exit_zero(capsys) -> None:
@@ -214,6 +229,9 @@ def test_family_rejection_exit_one(capsys) -> None:
     assert run(["family", "gamma02", "--M", "4", "--A", "1", "--x", "1"]) \
         == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+    assert run(["family", "gamma02", "--M", "4", "--A", "2", "--x", "0"]) \
+        == EXIT_INVALID
+    assert capsys.readouterr().err == "error: gcd(A, M) must be 1, got gcd(2, 4)\n"
 
 
 def test_family_gamma3_table(capsys) -> None:

@@ -23,6 +23,7 @@ from vvmf3.mde import (
 from vvmf3.qseries import QExpansion
 from vvmf3.reps import enumerate_level, validate_triple
 from conftest import (
+    g_series,
     oracle_coefficients,
     oracle_g_series,
     oracle_phi,
@@ -55,11 +56,7 @@ def test_g_series_match_oracle():
         (validate_triple(2, 3, 7, 8), 15),
         (UNBOUNDED, 120),
     ):
-        sys = build_mde(t, order)
-        g0, g1, g2 = oracle_g_series(t, order)
-        assert list(sys.g0.coeffs) == g0
-        assert list(sys.g1.coeffs) == g1
-        assert list(sys.g2.coeffs) == g2
+        assert g_series(build_mde(t, order)) == oracle_g_series(t, order)
 
 
 def test_structural_divisibility_sampled():
@@ -228,16 +225,6 @@ def test_build_mde_validation():
         component_series(sys, 1, 6)
     with pytest.raises(ValueError):
         component_series(sys, 5)
-
-
-def test_system_json_dict():
-    sys = build_mde(ANCHOR, 3)
-    data = sys.to_json_dict()
-    assert data["x0"] == 14 and data["x4"] == -140 and data["x6"] == 680
-    assert data["alpha4"] == "-5/252"
-    assert data["g2"]["coeffs"][0] == "2"
-    assert data["triple"]["k0"] == 2
-
 
 
 _OPTIMIZED_PROBE = """

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 import vvmf3.reps as reps
 from vvmf3.reps import (
-    CharacterData,
     InvalidTripleError,
     RepTriple,
     classify_level,
@@ -75,21 +75,22 @@ def test_enumerate_matches_brute_force_random_levels(N):
     assert [(t.A, t.B, t.C) for t in enumerate_level(N)] == brute_force_level(N)
 
 
-def test_character_data_validation():
-    with pytest.raises(ValueError):
-        CharacterData.gamma02(4, 2, 0)  # gcd(A, M) != 1
-    with pytest.raises(ValueError):
-        CharacterData.gamma02(4, 4, 0)  # A out of range
-    with pytest.raises(ValueError):
-        CharacterData.gamma02(4, 1, 5)  # x out of range
-    with pytest.raises(ValueError):
-        CharacterData.gamma3(0, 0, 4)
-    with pytest.raises(ValueError):
-        CharacterData(family="nope")
+def test_family_argument_validation():
+    cases = (
+        (lambda: gamma02_family(0, 0, 0), "M must be >= 1, got 0"),
+        (lambda: gamma02_family(4, 4, 0), "A must satisfy 0 <= A < M, got A=4, M=4"),
+        (lambda: gamma02_family(4, 2, 0), "gcd(A, M) must be 1, got gcd(2, 4)"),
+        (lambda: gamma02_family(4, 1, 5), "x must be one of 0..3, got 5"),
+        (lambda: gamma3_family(0, 0, 4), "x2 must be one of 0..3, got 4"),
+        (lambda: gamma3_family(0, 1, 0), "quarter-turns must agree mod 2, got (0, 1, 0)"),
+    )
+    for call, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_gamma02_pinned_example():
-    res = gamma02_family(CharacterData.gamma02(4, 1, 0))
+    res = gamma02_family(4, 1, 0)
     t = res.triple
     assert (t.A, t.B, t.C, t.N) == (2, 3, 7, 8)
     assert res.formula_level == 8 == res.level
@@ -100,7 +101,7 @@ def test_gamma02_pinned_example():
 
 def test_gamma02_collision_rejected():
     with pytest.raises(InvalidTripleError) as exc_info:
-        gamma02_family(CharacterData.gamma02(4, 1, 1))
+        gamma02_family(4, 1, 1)
     assert exc_info.value.code == "collision"
 
 
@@ -113,7 +114,7 @@ def test_gamma02_grid_invariants():
                 continue
             for x in range(4):
                 try:
-                    res = gamma02_family(CharacterData.gamma02(m, a, x))
+                    res = gamma02_family(m, a, x)
                 except InvalidTripleError as exc:
                     assert exc.code in ("collision", "gcd")
                     rejected_by_code[exc.code] = rejected_by_code.get(exc.code, 0) + 1
@@ -139,20 +140,20 @@ def test_gamma02_grid_invariants():
 def test_gamma02_degenerate_level_rejected():
     for m, a, x in ((4, 1, 3), (10, 1, 2), (12, 1, 1)):
         with pytest.raises(InvalidTripleError) as exc_info:
-            gamma02_family(CharacterData.gamma02(m, a, x))
+            gamma02_family(m, a, x)
         assert exc_info.value.code == "gcd"
 
 
 def test_gamma3_pinned_examples():
-    t0 = gamma3_family(CharacterData.gamma3(0, 0, 0)).triple
+    t0 = gamma3_family(0, 0, 0).triple
     assert (t0.A, t0.B, t0.C, t0.N) == (0, 1, 2, 3)
-    t2 = gamma3_family(CharacterData.gamma3(2, 2, 2)).triple
+    t2 = gamma3_family(2, 2, 2).triple
     assert (t2.A, t2.B, t2.C, t2.N) == (1, 3, 5, 6)
 
 
 def test_gamma3_parity_rejected():
     with pytest.raises(InvalidTripleError) as exc_info:
-        gamma3_family(CharacterData.gamma3(0, 1, 0))
+        gamma3_family(0, 1, 0)
     assert exc_info.value.code == "parity"
 
 
@@ -162,7 +163,7 @@ def test_gamma3_grid_levels_divide_12():
             for x2 in range(4):
                 if not (x0 % 2 == x1 % 2 == x2 % 2):
                     continue
-                res = gamma3_family(CharacterData.gamma3(x0, x1, x2))
+                res = gamma3_family(x0, x1, x2)
                 assert 12 % res.triple.N == 0
                 chi = res.chi_exponents
                 assert (chi["E0"] + chi["E1"] + chi["E2"] + chi["P"]) % 1 == 0
@@ -178,7 +179,7 @@ def test_family_weight_always_integral():
                 continue
             for x in range(4):
                 try:
-                    gamma02_family(CharacterData.gamma02(m, a, x))
+                    gamma02_family(m, a, x)
                     count += 1
                 except InvalidTripleError:
                     pass
@@ -212,7 +213,7 @@ def test_classify_pattern_and_ubd():
 
 
 def test_family_json_round_trip():
-    res = gamma02_family(CharacterData.gamma02(4, 1, 0))
+    res = gamma02_family(4, 1, 0)
     data = res.to_json_dict()
     assert data["triple"]["N"] == 8
     assert data["params"] == {"family": "gamma02", "M": 4, "A": 1, "x": 0}
