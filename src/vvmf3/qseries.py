@@ -6,11 +6,11 @@ order: coefficients of q^(r+n) are exact for n <= T and unknown beyond.
 Arithmetic propagates the smallest valid order of its operands, so precision
 loss is always explicit, and f.truncate(T) is the one way to shorten a series.
 Every series product is one integer convolution, _convolve, which
-ode_residual shares.
+ode_residual shares.  A float entering a series raises TypeError.
 
 The module also provides the weight-k Eisenstein series (whose numerators
 build_mde reads to construct the differential equation) and the
-weight-raising modular derivative.
+weight-raising modular derivative, one _convolve of the series against E2.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ class QExpansion:
     __slots__ = ("_exponent", "_coeffs")
 
     def __init__(self, exponent: RationalLike, coeffs: Iterable[RationalLike]):
-        exponent = Fraction(exponent)
+        exponent = _exact(exponent)
         if not 0 <= exponent < 1:
             raise ValueError(f"leading exponent must lie in [0, 1), got {exponent}")
-        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        cs = tuple(c if type(c) is Fraction else _exact(c) for c in coeffs)
         if not cs:
             raise ValueError("a QExpansion needs at least the constant coefficient")
         self._exponent = exponent
@@ -65,7 +65,7 @@ class QExpansion:
         return QExpansion(self._exponent, self._coeffs[: order + 1])
 
     def scale(self, factor: RationalLike) -> "QExpansion":
-        factor = Fraction(factor)
+        factor = _exact(factor)
         return QExpansion(self._exponent, (factor * c for c in self._coeffs))
 
     def __neg__(self) -> "QExpansion":
@@ -153,6 +153,15 @@ class QExpansion:
         return series
 
 
+def _exact(x: RationalLike) -> Fraction:
+    """x as a Fraction; a float, only a binary approximation, raises TypeError."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"exact series take int or Fraction values, not the float {x!r}")
+    return Fraction(x)
+
+
 def _integral(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     """Integers a_i and their common denominator l with coeffs[i] = a_i / l."""
     l = math.lcm(*(c.denominator for c in coeffs))
@@ -218,11 +227,17 @@ def modular_derivative(f: QExpansion, k: RationalLike) -> QExpansion:
 
     theta multiplies the coefficient of q^(r+n) by (r+n).  The result is a
     weight k+2 object when f has weight k, to the order of f; truncate f
-    first for a shorter result.
+    first for a shorter result.  With f's coefficients a_n / l over one
+    denominator, c = _convolve(E2, a), r = s/e and k = kn/kd, the coefficient
+    of q^(r+n) is (12 kd (s + e n) a_n - kn e c_n) / (12 kd e l).
 
     >>> modular_derivative(QExpansion(0, [1, 0, 0]), 0).coeffs
     (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))
     """
-    r = f.exponent
-    theta = QExpansion(r, ((r + n) * c for n, c in enumerate(f.coeffs)))
-    return theta + (eisenstein(2, f.order) * f).scale(Fraction(k) / -12)
+    kn, kd = _exact(k).as_integer_ratio()
+    s, e = f.exponent.as_integer_ratio()
+    a, l = _integral(f.coeffs)
+    c = _convolve([x.numerator for x in _eisenstein_coeffs(2, f.order)], a)
+    den = 12 * kd * e * l
+    terms = (12 * kd * (s + e * n) * an - kn * e * cn for n, (an, cn) in enumerate(zip(a, c)))
+    return QExpansion(f.exponent, [Fraction(x, den) for x in terms])

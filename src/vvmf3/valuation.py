@@ -291,7 +291,7 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
     elif observed == predicted:
         verdict = "formula-verified"
     # Prepend nu_p(a(0)) = 0 so that the index of each valuation is its n.
-    elif _late_new_minimum(_prime_stats(p, [0] + observed), n_max):
+    elif _late_new_minimum(_prime_stats(p, enumerate([0] + observed), n_max), n_max):
         verdict = "empirically-unbounded"
     else:
         verdict = "bounded-in-window"
@@ -349,20 +349,23 @@ class DenominatorProfile:
         }
 
 
-def _prime_stats(p: int, vals: list[ValuationValue]) -> PrimeStats:
-    """Statistics of the valuations vals[i] of the coefficients a(i)."""
+def _prime_stats(p: int, pairs: Iterable[tuple[int, ValuationValue]], T: int) -> PrimeStats:
+    """Statistics of the valuations v of the coefficients a(n), from (n, v)
+    pairs in increasing n over the window 0..T that leave out no new minimum.
+    The valuations strictly decrease exactly when every n >= 1 is one."""
     running = INFINITY
-    last_new_min = new_min_count = 0
-    for i, v in enumerate(vals):
+    last_new_min = new_min_count = later_new_mins = 0
+    for n, v in pairs:
         if v < running:
-            running, last_new_min = v, i
+            running, last_new_min = v, n
             new_min_count += 1
+            later_new_mins += n > 0
     return PrimeStats(
         prime=p,
         min_valuation=running,
         new_min_count=new_min_count,
         last_new_min_index=last_new_min,
-        strictly_decreasing=all(b < a for a, b in zip(vals, vals[1:])),
+        strictly_decreasing=later_new_mins == T,
     )
 
 
@@ -374,24 +377,41 @@ def _late_new_minimum(s: PrimeStats, T: int) -> bool:
 
 def denominator_profile(f: QExpansion) -> DenominatorProfile:
     """Profile the denominators of a series through its order; profile
-    f.truncate(T) for a shorter window."""
+    f.truncate(T) for a shorter window.
+
+    Finding the primes divides each denominator d_n by every prime found so
+    far; the exponent e of p read there is the valuation -e at n.  Any other
+    valuation is >= 0 (INFINITY for zero), so it can be a new minimum or
+    continue a strictly decreasing run only while the running minimum is > 0:
+    numerator valuations are taken only before p first divides a denominator,
+    and only until one is <= 0 (just nu_p(1) = 0 when a(0) = 1).
+    """
     T = f.order
     fracs = [c.as_integer_ratio() for c in f.coeffs]
 
-    primes: list[int] = []
-    for _, d in fracs:
-        for p in primes:
+    found: dict[int, list[tuple[int, ValuationValue]]] = {}
+    for n, (_, d) in enumerate(fracs):
+        for p, pairs in found.items():
+            v = 0
             while d % p == 0:
-                d //= p
+                d, v = d // p, v - 1
+            if v:
+                pairs.append((n, v))
         if d > 1:
-            primes.extend(p for p, _ in prime_factors(d))
-            primes.sort()
+            found.update((p, [(n, -e)]) for p, e in prime_factors(d))
 
-    stats = tuple(_prime_stats(p, _coeff_valuations(fracs, p)) for p in primes)
+    stats = []
+    for p in sorted(found):
+        head = []
+        for n in range(found[p][0][0]):
+            head.append((n, int_valuation(fracs[n][0], p)))
+            if head[-1][1] <= 0:
+                break
+        stats.append(_prime_stats(p, head + found[p], T))
     if not stats:
         verdict = "all-integral"
     elif any(_late_new_minimum(s, T) for s in stats):
         verdict = "decreasing-unbounded-pattern"
     else:
         verdict = "bounded-in-window"
-    return DenominatorProfile(window=T, stats=stats, verdict=verdict)
+    return DenominatorProfile(window=T, stats=tuple(stats), verdict=verdict)

@@ -6,7 +6,11 @@ The oracle functions rebuild everything from first principles with Fractions
 dividing by the full indicial cubic) and share no code with the package, so
 agreement is meaningful evidence.  reference_unreduced is the plain integer
 Horner recursion over the package's h arrays, a second algorithm beside the
-running common denominator of component_series.
+running common denominator of component_series.  Two more second algorithms:
+reference_denominator_profile takes nu_p of every coefficient for every
+prime, where the package takes only the valuations that can move the
+statistics, and reference_modular_derivative builds D_k f from Fraction series
+operations, where the package takes one integer convolution.
 """
 
 from __future__ import annotations
@@ -16,8 +20,11 @@ import random
 from fractions import Fraction
 from math import comb, gcd
 
+from vvmf3.arith import INFINITY, int_valuation, prime_factors
 from vvmf3.mde import MDESystem
+from vvmf3.qseries import QExpansion, eisenstein
 from vvmf3.reps import RepTriple, validate_triple
+from vvmf3.valuation import DenominatorProfile, PrimeStats
 
 SEED = 20260826
 
@@ -135,6 +142,60 @@ def reference_unreduced(sys: MDESystem, lead: int, T: int) -> tuple[list[int], l
             s = s * c[j] + anum[j] * (sys.h2[m] * uu[j] + sys.h1[m] * u[j] + sys.h0[m])
         anum.append(-s)
     return anum, c
+
+
+def _dense_prime_stats(p: int, vals: list) -> PrimeStats:
+    """Statistics of the valuations vals[i] of the coefficients a(i)."""
+    running = INFINITY
+    last_new_min = new_min_count = 0
+    for i, v in enumerate(vals):
+        if v < running:
+            running, last_new_min = v, i
+            new_min_count += 1
+    return PrimeStats(
+        prime=p,
+        min_valuation=running,
+        new_min_count=new_min_count,
+        last_new_min_index=last_new_min,
+        strictly_decreasing=all(b < a for a, b in zip(vals, vals[1:])),
+    )
+
+
+def reference_denominator_profile(f: QExpansion) -> DenominatorProfile:
+    """The dense profile: nu_p of every coefficient for every prime found."""
+    T = f.order
+    fracs = [c.as_integer_ratio() for c in f.coeffs]
+
+    primes: list[int] = []
+    for _, d in fracs:
+        for p in primes:
+            while d % p == 0:
+                d //= p
+        if d > 1:
+            primes.extend(p for p, _ in prime_factors(d))
+            primes.sort()
+
+    stats = tuple(
+        _dense_prime_stats(
+            p, [-int_valuation(d, p) if d % p == 0 else int_valuation(a, p) for a, d in fracs]
+        )
+        for p in primes
+    )
+    if not stats:
+        verdict = "all-integral"
+    elif any(s.min_valuation <= -3 and s.last_new_min_index >= T - max(1, T // 10)
+             for s in stats):
+        verdict = "decreasing-unbounded-pattern"
+    else:
+        verdict = "bounded-in-window"
+    return DenominatorProfile(window=T, stats=stats, verdict=verdict)
+
+
+def reference_modular_derivative(f: QExpansion, k) -> QExpansion:
+    """D_k f = theta(f) - (k/12) E2 f from Fraction series operations."""
+    r = f.exponent
+    theta = QExpansion(r, ((r + n) * c for n, c in enumerate(f.coeffs)))
+    return theta + (eisenstein(2, f.order) * f).scale(Fraction(k) / -12)
 
 
 def brute_force_level(N: int) -> list[tuple[int, int, int]]:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import vvmf3.qseries
 from vvmf3.qseries import QExpansion, eisenstein, modular_derivative
-from conftest import _smulser, oracle_eisenstein
+from conftest import _smulser, oracle_eisenstein, reference_modular_derivative
 
 
 def _series(exponent, coeffs):
@@ -23,6 +23,22 @@ def test_constructor_validates_exponent_range():
         QExpansion(Fraction(-1, 7), [1])
     with pytest.raises(ValueError):
         QExpansion(0, [])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QExpansion(0.1, [1]),
+        lambda: QExpansion(0, [1, 0.1]),
+        lambda: QExpansion(0, [1, 2]).scale(0.1),
+        lambda: modular_derivative(QExpansion(0, [1, 2]), 0.1),
+    ],
+    ids=["exponent", "coefficient", "scale", "derivative-weight"],
+)
+def test_floats_are_rejected(build):
+    # 0.1 would enter as 3602879701896397/36028797018963968, not 1/10.
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_coefficient_and_truncate():
@@ -206,3 +222,21 @@ def test_product_matches_cauchy_oracle(f, g):
     assert h.exponent == exponent
     assert list(h.coeffs) == prod
     assert all(type(c) is Fraction for c in h.coeffs)
+
+
+_weight = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=Fraction(-30), max_value=Fraction(30), max_denominator=60).filter(
+        lambda k: k.denominator > 1
+    ),
+)
+
+
+@given(product_operand(), _weight)
+@example(QExpansion(Fraction(1, 7), [1]), Fraction(7, 3))
+@example(QExpansion(0, [0, 0, 5]), -4)
+@settings(max_examples=100, deadline=None)
+def test_modular_derivative_matches_series_reference(f, k):
+    g = modular_derivative(f, k)
+    assert g == reference_modular_derivative(f, k)
+    assert all(type(c) is Fraction for c in g.coeffs)

@@ -1,14 +1,14 @@
 """Prime classification, the valuation law, and denominator profiles."""
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from conftest import reference_unreduced, sample_triples
+from conftest import reference_denominator_profile, reference_unreduced, sample_triples
 from vvmf3.arith import INFINITY, int_valuation, prime_factors, valuation_p
-from vvmf3.mde import _frobenius, build_mde, component_series, phi_j
+from vvmf3.mde import _frobenius, build_mde, component_series, minimal_vector, phi_j
 import vvmf3.mde
 import vvmf3.valuation
 from vvmf3.reps import enumerate_level, validate_triple
@@ -328,6 +328,48 @@ def test_denominator_profile_boundary_of_late_minimum() -> None:
         profile = denominator_profile(series)
         assert profile.verdict == verdict
         assert profile.stats[0].last_new_min_index == last
+
+
+# Coefficients for the profile oracle: zeros, numerators with positive
+# valuations (8, 27) and either sign, and denominators over small primes.
+_profile_coefficient = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from((1, -1, 8, 27, -8, -27, 12, 250)).map(Fraction),
+    st.builds(
+        lambda a, i, j, k: Fraction(a, 2**i * 3**j * 5**k),
+        st.integers(-300, 300),
+        st.integers(0, 12),
+        st.integers(0, 6),
+        st.integers(0, 3),
+    ),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**4),
+)
+
+# Runs of +-1/2^k whose exponent k rises and falls as a walk.
+_walk = st.lists(st.tuples(st.integers(-2, 3), st.booleans()), max_size=40).map(
+    lambda steps: [
+        Fraction(-1 if neg else 1, 2 ** abs(k))
+        for k, (_, neg) in zip(accumulate(step for step, _ in steps), steps)
+    ]
+)
+
+
+@given(st.lists(_profile_coefficient, max_size=8), _walk, st.lists(_profile_coefficient, max_size=8))
+@example([Fraction(8)], [], [])
+@example([Fraction(1, 4)], [], [])
+@example([Fraction(27), Fraction(0), Fraction(9), Fraction(1, 3)], [], [])
+@example([Fraction(8), Fraction(0), Fraction(4)], [Fraction(1, 2), Fraction(1, 8), Fraction(1, 4)], [])
+def test_denominator_profile_matches_dense_reference(head, walk, tail) -> None:
+    assume(head + walk + tail)
+    series = QExpansion(0, head + walk + tail)
+    assert denominator_profile(series) == reference_denominator_profile(series)
+
+
+def test_denominator_profile_matches_dense_reference_on_components() -> None:
+    systems = (build_mde(t, 40) for N in range(1, 21) for t in enumerate_level(N))
+    for sys in chain(systems, [build_mde(validate_triple(1, 3, 7, 11), 300)]):
+        for comp in minimal_vector(sys).components:
+            assert denominator_profile(comp) == reference_denominator_profile(comp)
 
 
 @pytest.mark.parametrize(
