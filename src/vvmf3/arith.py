@@ -35,6 +35,15 @@ __all__ = [
 ]
 
 
+def _exact(x: RationalLike) -> Fraction:
+    """x as a Fraction; a float, only a binary approximation, raises TypeError."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"exact values are int or Fraction, not the float {x!r}")
+    return Fraction(x)
+
+
 def rational_str(x: RationalLike) -> str:
     """Canonical text form "num/den", with "/den" omitted when den is 1.
 
@@ -43,7 +52,7 @@ def rational_str(x: RationalLike) -> str:
     >>> rational_str(Fraction(10, 2))
     '5'
     """
-    x = Fraction(x)
+    x = _exact(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -175,7 +184,7 @@ def valuation_p(x: RationalLike, p: int) -> ValuationValue:
     """
     if not is_prime(p):
         raise ValueError(f"valuation_p needs a prime, got {p}")
-    x = Fraction(x)
+    x = _exact(x)
     if x == 0:
         return INFINITY
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)

@@ -236,7 +236,7 @@ def _frobenius(sys: MDESystem, lead: int, c: list[int], modulus: int, window: in
     anum = [1]
     for n in range(1, T + 1):
         s = 0
-        for j in range(max(0, n - window), n):
+        for j in range(n - window if n > window else 0, n):
             m = n - j
             s = s * c[j] + anum[j] * (h2[m] * uu[j] + h1[m] * u[j] + h0[m])
         anum.append(-s % modulus)

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .arith import RationalLike, bernoulli, rational_str, sigma_k
+from .arith import RationalLike, _exact, bernoulli, rational_str, sigma_k
 
 __all__ = [
     "QExpansion",
@@ -153,15 +153,6 @@ class QExpansion:
         return series
 
 
-def _exact(x: RationalLike) -> Fraction:
-    """x as a Fraction; a float, only a binary approximation, raises TypeError."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, float):
-        raise TypeError(f"exact series take int or Fraction values, not the float {x!r}")
-    return Fraction(x)
-
-
 def _integral(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     """Integers a_i and their common denominator l with coeffs[i] = a_i / l."""
     l = math.lcm(*(c.denominator for c in coeffs))
@@ -200,8 +191,9 @@ _EISENSTEIN: dict[int, list[Fraction]] = {}
 
 def _eisenstein_coeffs(k: int, order: int) -> list[Fraction]:
     cs = _EISENSTEIN.setdefault(k, [Fraction(1)])
-    factor = Fraction(-2 * k) / bernoulli(k)
-    cs.extend(factor * sigma_k(k - 1, n) for n in range(len(cs), order + 1))
+    if len(cs) <= order:
+        factor = Fraction(-2 * k) / bernoulli(k)
+        cs.extend(factor * sigma_k(k - 1, n) for n in range(len(cs), order + 1))
     return cs[: order + 1]
 
 

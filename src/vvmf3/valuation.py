@@ -9,15 +9,16 @@ exact law
     nu_p(a(n)) = n * delta - nu_p(prod_{k=1..n} k * lambda(k)),
 
 delta = nu_p(z_n) - nu_p(N) < 0, a strictly decreasing negative function of n.
-With c_k = 6N k lambda(k) and shift = delta + nu_p(6N) the law reads
-n * shift - sum_{k<=n} nu_p(c_k), which _law computes for both
+The recursion's c_k = 6N k lambda(k) = 6N * k * (Nk + a - b) * (Nk + a - c),
+a = lead, is a product of four factors, three of them linear in k; p^e
+divides each on one arithmetic progression of k, which _law counts for both
 predicted_valuation and verify_formula.  Since a(n) = anum_n / (c_1 ... c_n)
-for integers anum_n, the law is equivalent to
-nu_p(anum_n) = n * (nu_p(z_0) + nu_p(6)), which verify_formula checks mod a
-power of p; observed valuations otherwise come from the reduced coefficients
-of component_series.  A prime passing the criterion below therefore
-certifies unbounded denominators at desk scale; the module also profiles
-observed denominators directly.
+for integers anum_n, the law is equivalent to nu_p(anum_n) = n * shift,
+shift = delta + nu_p(6N) = nu_p(z_0) + nu_p(6), which verify_formula checks
+by divisibility on residues mod a power of p; observed valuations otherwise
+come from the reduced coefficients of component_series.  A prime passing the
+criterion below therefore certifies unbounded denominators at desk scale;
+the module also profiles observed denominators directly.
 """
 
 from __future__ import annotations
@@ -220,10 +221,37 @@ def _delta_for_lead(t: RepTriple, case: PrimeCase, lead: Optional[int]) -> int:
     return vz - nu_level
 
 
-def _law(p: int, shift: int, c: list[int]) -> list[int]:
-    """The law's column n * shift - sum_{k<=n} nu_p(c_k) for n = 1..len(c),
-    given c = [c_1, ..., c_n] from _recursion_c and shift = delta + nu_p(6N)."""
-    return [n * shift - d for n, d in enumerate(accumulate(int_valuation(ck, p) for ck in c), 1)]
+def _progression_valuations(alpha: int, beta: int, p: int, n: int) -> list[int]:
+    """[nu_p(alpha k + beta) for k = 1..n], for alpha >= 1 and no term zero.
+
+    Every value is nu_p(beta) if that is below nu_p(alpha).  Otherwise, with
+    alpha', beta' the quotients by p^nu_p(alpha), p^e divides alpha' k + beta'
+    exactly on k = -beta' / alpha' mod p^e: nu_p(alpha) plus one along that
+    progression for each p^e <= alpha' n + |beta'|, n/p + n/p^2 + ... steps.
+    """
+    va, vb = int_valuation(alpha, p), int_valuation(beta, p)
+    if vb < va:
+        return [vb] * n
+    alpha, beta = alpha // p**va, beta // p**va
+    col = [va] * n
+    bound, q = alpha * n + abs(beta), p
+    while q <= bound:
+        for i in range((-beta * pow(alpha, -1, q) - 1) % q, n, q):
+            col[i] += 1
+        q *= p
+    return col
+
+
+def _law(t: RepTriple, lead: int, p: int, delta: int, n: int) -> list[int]:
+    """The law's column [m * delta - D_m for m = 1..n], D_m = nu_p(prod_{k<=m}
+    k lambda(k)): the factors k, Nk + a - b and Nk + a - c of
+    c_k = 6N * k * (Nk + a - b) * (Nk + a - c), a = lead.  With the fourth,
+    it is m * shift - nu_p(c_1 ... c_m), shift = delta + nu_p(6N).
+    """
+    b, c = (e for e in (t.A, t.B, t.C) if e != lead)
+    forms = ((1, 0), (t.N, lead - b), (t.N, lead - c))
+    cols = [_progression_valuations(alpha, beta, p, n) for alpha, beta in forms]
+    return [m * delta - d for m, d in enumerate(accumulate(map(sum, zip(*cols))), 1)]
 
 
 def _coeff_valuations(fracs: Iterable[tuple[int, int]], p: int) -> list[ValuationValue]:
@@ -244,8 +272,7 @@ def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"predicted_valuation needs n >= 1, got {n}")
-    shift = _delta_for_lead(t, classify_prime(t, p), lead) + int_valuation(6 * t.N, p)
-    return _law(p, shift, _recursion_c(t, lead, n))[-1]
+    return _law(t, lead, p, _delta_for_lead(t, classify_prime(t, p), lead), n)[-1]
 
 
 def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> ValuationReport:
@@ -253,20 +280,20 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
 
     When the law applies, it is equivalent to nu_p(anum_n) = n * shift for
     the numerators of a(n) = anum_n / (c_1 ... c_n).  Their residues mod p^K,
-    K = n_max * shift + 1, decide every row exactly, since each n * shift is
-    below K.  Every c_k has nu_p(c_k) >= e = nu_p(6N) >= 1, so in the Horner
-    sum for anum_n the terms of j < n - w, w = ceil(K / e), vanish mod p^K
-    and _frobenius needs only a window of w.  When the law is inapplicable,
-    or a residue misses its prediction, the observed column is read from the
-    reduced coefficients of component_series.
+    K = n_max * shift + 1, decide every row by divisibility by p^(n * shift)
+    and p^(n * shift + 1), since each n * shift is below K.  Every c_k has
+    nu_p(c_k) >= e = nu_p(6N) >= 1, so in the Horner sum for anum_n the terms
+    of j < n - w, w = ceil(K / e), vanish mod p^K and _frobenius needs only a
+    window of w.  When the law is inapplicable, or a residue misses its
+    prediction, the observed column is read from the reduced coefficients of
+    component_series.
     """
     if n_max < 1:
         raise ValueError(f"verify_formula needs n_max >= 1, got {n_max}")
     case = classify_prime(t, p)
     lead = case.lead if case.lead is not None else t.A
-    nu_6n = int_valuation(6 * t.N, p)
     try:
-        shift = _delta_for_lead(t, case, case.lead) + nu_6n
+        delta = _delta_for_lead(t, case, case.lead)
         applicable, reason = True, None
     except FormulaInapplicable as exc:
         applicable, reason = False, str(exc)
@@ -274,12 +301,14 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
     predicted: list[Optional[int]] = [None] * n_max
     observed: Optional[list[ValuationValue]] = None
     if applicable:
-        c = _recursion_c(t, lead, n_max)
-        predicted = _law(p, shift, c)
+        predicted = _law(t, lead, p, delta, n_max)
+        nu_6n = int_valuation(6 * t.N, p)
+        shift = delta + nu_6n
         k = n_max * shift + 1
         w = min(n_max, -(-k // nu_6n))
-        residues = _frobenius(build_mde(t, w), lead, c, p**k, w)
-        if all(int_valuation(a, p) == n * shift for n, a in enumerate(residues)):
+        residues = _frobenius(build_mde(t, w), lead, _recursion_c(t, lead, n_max), p**k, w)
+        powers = (p ** (n * shift) for n in range(n_max + 1))
+        if all(a % q == 0 and a // q % p for a, q in zip(residues, powers)):
             observed = predicted
     if observed is None:
         series = component_series(build_mde(t, n_max), lead)

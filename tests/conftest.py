@@ -6,7 +6,9 @@ The oracle functions rebuild everything from first principles with Fractions
 dividing by the full indicial cubic) and share no code with the package, so
 agreement is meaningful evidence.  reference_unreduced is the plain integer
 Horner recursion over the package's h arrays, a second algorithm beside the
-running common denominator of component_series.  Two more second algorithms:
+running common denominator of component_series.  Three more second
+algorithms: reference_law takes nu_p of every c_k of the recursion, where the
+package counts the terms of arithmetic progressions;
 reference_denominator_profile takes nu_p of every coefficient for every
 prime, where the package takes only the valuations that can move the
 statistics, and reference_modular_derivative builds D_k f from Fraction series
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd
 
 from vvmf3.arith import INFINITY, int_valuation, prime_factors
@@ -142,6 +145,12 @@ def reference_unreduced(sys: MDESystem, lead: int, T: int) -> tuple[list[int], l
             s = s * c[j] + anum[j] * (sys.h2[m] * uu[j] + sys.h1[m] * u[j] + sys.h0[m])
         anum.append(-s)
     return anum, c
+
+
+def reference_law(p: int, shift: int, c: list[int]) -> list[int]:
+    """The law's column n * shift - sum_{k<=n} nu_p(c_k) for n = 1..len(c),
+    given c = [c_1, ..., c_n] from _recursion_c and shift = delta + nu_p(6N)."""
+    return [n * shift - d for n, d in enumerate(accumulate(int_valuation(ck, p) for ck in c), 1)]
 
 
 def _dense_prime_stats(p: int, vals: list) -> PrimeStats:

@@ -26,6 +26,17 @@ def test_rational_str_exact_forms():
     assert rational_str(Fraction(4, -2)) == "-2"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: valuation_p(0.1, 2), lambda: rational_str(0.1)],
+    ids=["valuation_p", "rational_str"],
+)
+def test_floats_are_rejected(call):
+    # 0.1 would enter as 3602879701896397/36028797018963968, of 2-adic valuation -55.
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(-3, 50):

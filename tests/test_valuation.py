@@ -6,9 +6,14 @@ from itertools import accumulate, chain
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from conftest import reference_denominator_profile, reference_unreduced, sample_triples
+from conftest import (
+    reference_denominator_profile,
+    reference_law,
+    reference_unreduced,
+    sample_triples,
+)
 from vvmf3.arith import INFINITY, int_valuation, prime_factors, valuation_p
-from vvmf3.mde import _frobenius, build_mde, component_series, minimal_vector, phi_j
+from vvmf3.mde import _frobenius, _recursion_c, build_mde, component_series, minimal_vector, phi_j
 import vvmf3.mde
 import vvmf3.valuation
 from vvmf3.reps import enumerate_level, validate_triple
@@ -16,6 +21,8 @@ from vvmf3.valuation import (
     FormulaInapplicable,
     PrimeCase,
     ValuationReport,
+    _law,
+    _progression_valuations,
     classify_prime,
     denominator_profile,
     predicted_valuation,
@@ -187,6 +194,58 @@ def test_predicted_valuation_inapplicability() -> None:
         predicted_valuation(validate_triple(0, 1, 6, 7), 7, 0, 1)
     with pytest.raises(ValueError):
         predicted_valuation(validate_triple(1, 3, 7, 11), 11, 1, 0)
+    with pytest.raises(ValueError, match=r"lead exponent 2 is not one of \(1, 3, 7\)"):
+        predicted_valuation(validate_triple(1, 3, 7, 11), 11, 2, 5)
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7, 11, 13)),
+    st.integers(0, 4),
+    st.integers(1, 300),
+    st.integers(0, 12),
+    st.integers(-300, 300),
+    st.integers(1, 600),
+)
+@example(2, 0, 1, 0, 0, 600)  # the factor k
+@example(3, 0, 1, 10, 1, 600)  # beta = 3^10, above every term's valuation
+@example(5, 2, 3, 1, 2, 100)  # nu_p(beta) < nu_p(alpha): a constant column
+@example(7, 1, 2, 3, -1, 400)  # negative beta: 14k - 343
+@example(11, 0, 121, 0, -1, 300)  # alpha k + beta < 0 at k = 0 mod 11^2 only
+def test_progression_valuations_match_direct_valuations(p, i, u, j, v, n) -> None:
+    alpha, beta = p**i * u, v * p**j
+    # alpha k + beta = 0 at an integer k = -beta / alpha in 1..n has no finite valuation.
+    assume(beta % alpha or not 1 <= -beta // alpha <= n)
+    assert _progression_valuations(alpha, beta, p, n) == [
+        int_valuation(alpha * k + beta, p) for k in range(1, n + 1)
+    ]
+
+
+def test_law_matches_reference_law() -> None:
+    # Every covered pair with N <= 60 at n = 100 (the lead of classify_prime,
+    # its delta), and every lead at every prime of sampled triples at prime
+    # power levels, where the progressions run deepest.
+    pairs = [
+        (t, p, case.lead, case.delta, 100)
+        for t in (t for N in range(2, 61) for t in enumerate_level(N))
+        for p, _ in prime_factors(t.N)
+        for case in [classify_prime(t, p)]
+        if case.lead is not None
+    ]
+    for N in (27, 81, 125, 243, 343, 512):
+        for t in sample_triples(12, level_max=N, level_min=N):
+            for p, _ in prime_factors(t.N):
+                pairs += [(t, p, lead, -1, 300) for lead in (t.A, t.B, t.C)]
+    assert len(pairs) > 10_000
+    for t, p, lead, delta, n in pairs:
+        shift = delta + int_valuation(6 * t.N, p)
+        assert _law(t, lead, p, delta, n) == reference_law(p, shift, _recursion_c(t, lead, n))
+
+
+def test_predicted_valuation_matches_verify_formula_to_400() -> None:
+    t = validate_triple(1, 3, 7, 11)
+    assert [predicted_valuation(t, 11, 1, n) for n in range(1, 401)] == [
+        predicted for _, _, predicted in verify_formula(t, 11, 400).rows
+    ]
 
 
 def test_verify_formula_verified_runs() -> None:
@@ -407,6 +466,40 @@ def test_verify_formula_mismatch_verdict(monkeypatch, doctor, verdict) -> None:
     assert report.verdict == verdict
 
 
+@pytest.mark.parametrize(
+    "doctor",
+    [lambda r: 0, lambda r: r * 3, lambda r: r + 3**59],
+    ids=["zero", "extra-factor", "missing-factor"],
+)
+def test_verify_formula_residue_walk_rejects_doctored_residues(monkeypatch, doctor) -> None:
+    # Case 6 with shift 2 and window 31: nu_3(anum_30) = 60 exactly.  A residue
+    # of 0, of valuation 61 or of valuation 59 (whose quotient by 3^60 is
+    # still a unit) sends the rows to the exact recursion, whose rows give
+    # the undoctored report.
+    t = validate_triple(0, 1, 26, 27)
+    expected = verify_formula(t, 3, n_max=60)
+    assert expected.verdict == "formula-verified"
+    assert expected.case.delta + int_valuation(6 * t.N, 3) == 2
+    real_frobenius = vvmf3.valuation._frobenius
+    calls = []
+
+    def doctored_residues(sys, lead, c, modulus, window):
+        calls.append("_frobenius")
+        residues = real_frobenius(sys, lead, c, modulus, window)
+        assert int_valuation(residues[30], 3) == 60
+        residues[30] = doctor(residues[30]) % modulus
+        return residues
+
+    def spy(sys, lead, order=None):
+        calls.append("component_series")
+        return component_series(sys, lead, order)
+
+    monkeypatch.setattr(vvmf3.valuation, "_frobenius", doctored_residues)
+    monkeypatch.setattr(vvmf3.valuation, "component_series", spy)
+    assert verify_formula(t, 3, n_max=60) == expected
+    assert calls == ["_frobenius", "component_series"]
+
+
 # Beyond N <= 30: the exact path of cases 3a, 7 and 8 where the law is
 # inapplicable, and the window w > 1 where it applies with shift > 0
 # (case 6 at 54, 5 at 125, 3a at 343, 8 at 512, 6 and 7 at 2187).
@@ -469,6 +562,16 @@ def test_verify_formula_stays_on_modular_path(monkeypatch) -> None:
     report = verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=1000)
     assert report.verdict == "formula-verified"
     assert calls == []
+
+
+def test_verify_formula_stays_on_modular_path_with_shift(monkeypatch) -> None:
+    # Shift 2: the residue walk accepts nu_3(anum_n) = 2n on every row.
+    def boom(*args, **kwargs):
+        raise AssertionError("component_series called")
+
+    monkeypatch.setattr(vvmf3.valuation, "component_series", boom)
+    report = verify_formula(validate_triple(0, 1, 26, 27), 3, n_max=60)
+    assert report.verdict == "formula-verified"
 
 
 @pytest.mark.parametrize("tup, p", [((1, 3, 7, 11), 11), ((0, 1, 26, 54), 3)])
