@@ -19,9 +19,10 @@ or a reader that closed the output pipe early, 2 formula mismatch reported by
 
 Each subcommand computes and checks its result before anything is written, so
 invalid input never opens --output; then only the requested format is built.
-`scan` classifies each level once.  Its `csv` streams in constant memory; its
-`table` and `json` hold every row, as five ints and the cells or JSON text of a
-shared classification, to size the columns and to write `count` first.
+`scan` renders integer rows, with no RepTriple per row, and each level's few
+classifications once.  Its `csv` streams in constant memory; its `table` and
+`json` hold every row, as five ints and the cells or JSON text of a shared
+classification, to size the columns and to write `count` first.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .qseries import eisenstein
 from .reps import (
     Classification,
     RepTriple,
-    classify_level,
+    _admissible,
+    _classified,
     classify_triple,
     gamma02_family,
     gamma3_family,
@@ -149,10 +151,6 @@ def _class_cells(cls: Classification) -> tuple[str, ...]:
             _fmt(cls.gamma02_pattern), _spaced(cls.ubd_primes))
 
 
-def _class_json(t: RepTriple, cls: Classification) -> dict:
-    return {"triple": t.to_json_dict(), "classification": cls.to_json_dict()}
-
-
 # One row of scan's json.dump(..., indent=2) output: the triple's five ints
 # and the classification's own dump, re-indented by _class_text.
 _SCAN_ROW = ('    {\n      "triple": {\n        "A": %d,\n        "B": %d,\n        "C": %d,\n'
@@ -227,7 +225,8 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[_Result, int]:
         *zip(_CLASS_FIELDS, _class_cells(cls)),
         ("notes", "; ".join(cls.notes)),
     ]
-    return _result(lambda: _class_json(t, cls), ("field", "value"), rows), EXIT_OK
+    return _result(lambda: {"triple": t.to_json_dict(), "classification": cls.to_json_dict()},
+                   ("field", "value"), rows), EXIT_OK
 
 
 def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -238,37 +237,36 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
 
     header = ("N", "A", "B", "C", "k0", *_CLASS_FIELDS)
 
-    def pairs(view: Callable[[Classification], object]) -> Iterator[tuple[RepTriple, object]]:
-        # One view per Classification object: classify_level shares them.
-        for level in map(classify_level, range(lo, hi + 1)):
-            distinct = {id(cls): cls for _, cls in level}
-            views = {key: view(cls) for key, cls in distinct.items()}
-            for t, cls in level:
-                yield t, views[id(cls)]
+    def scan_rows(view: Callable[[Classification], tuple]) -> Iterator[tuple]:
+        # (N, A, B, C, k0, *view(cls)), view taken once per classification.
+        for n in range(lo, hi + 1):
+            classes, triples = _classified(n, _admissible(n))
+            views = [view(cls) for cls in classes]
+            yield from [(n, a, b, c, (4 * (a + b + c) - 2 * n) // n, *views[i])
+                        for a, b, c, i in triples]
 
     def json_text() -> Iterator[str]:
-        rows = [(t.A, t.B, t.C, t.N, t.k0, text) for t, text in pairs(_class_text)]
+        rows = list(scan_rows(lambda cls: (_class_text(cls),)))
         yield f'{{\n  "level": {lo},\n  "level_max": {hi},\n  "count": {len(rows)},\n  "rows": ['
-        for i, row in enumerate(rows):
-            yield (",\n" if i else "\n") + _SCAN_ROW % row
+        for i, (n, a, b, c, k0, text) in enumerate(rows):
+            yield (",\n" if i else "\n") + _SCAN_ROW % (a, b, c, n, k0, text)
         yield "\n  ]\n}\n" if rows else "]\n}\n"
 
     def table_text() -> Iterator[str]:
-        rows = [(t.N, t.A, t.B, t.C, t.k0, c) for t, c in pairs(_class_cells)]
-        *ints, classes = zip(*rows) if rows else [()] * 6
-        distinct = {id(c): c for c in classes}.values()
+        rows = list(scan_rows(lambda cls: (_class_cells(cls),)))
+        *ints, cells = zip(*rows) if rows else [()] * 6
+        distinct = set(cells)
         # The widest int of a column is its min or its max.
         widths = [max(len(h), len(str(min(col, default=0))), len(str(max(col, default=0))))
                   for h, col in zip(header, ints)]
         widths += [max(map(len, col)) for col in zip(header[5:], *distinct)]
         yield "  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
         line = "".join(f"%-{w}d  " for w in widths[:5]) + "%s\n"
-        suffix = {id(c): "  ".join(map(str.ljust, c, widths[5:])).rstrip() for c in distinct}
+        suffix = {c: "  ".join(map(str.ljust, c, widths[5:])).rstrip() for c in distinct}
         for n, a, b, c, k0, cl in rows:
-            yield line % (n, a, b, c, k0, suffix[id(cl)])
+            yield line % (n, a, b, c, k0, suffix[cl])
 
-    rows = ((t.N, t.A, t.B, t.C, t.k0) + c for t, c in pairs(_class_cells))
-    return _Result(json_text, table_text, header, rows), EXIT_OK
+    return _Result(json_text, table_text, header, scan_rows(_class_cells)), EXIT_OK
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Iterable, Optional
 
 from .arith import prime_factors, rational_str
 
@@ -135,6 +135,20 @@ def validate_triple(A: int, B: int, C: int, N: int) -> RepTriple:
     return RepTriple(a, b, c, N)
 
 
+def _admissible(N: int) -> list[tuple[int, int, int]]:
+    """(a, b, c) of every admissible triple at level N, sorted, unvalidated:
+    N | 4*sigma puts c in one class mod N / gcd(4, N), and gcd(a, b, c, N) = 1
+    needs a test only where gcd(a, N) > 1."""
+    step = N // math.gcd(4, N)
+    out: list[tuple[int, int, int]] = []
+    for a in range(N - 2):
+        rows = [(a, b, c) for b in range(a + 1, N - 1)
+                for c in range(b + 1 + (-a - 2 * b - 1) % step, N, step)]
+        g = math.gcd(a, N)
+        out += rows if g == 1 else [r for r in rows if math.gcd(g, r[1], r[2]) == 1]
+    return out
+
+
 def enumerate_level(N: int) -> list[RepTriple]:
     """All admissible triples whose level is exactly N, sorted by (A, B, C).
 
@@ -145,18 +159,7 @@ def enumerate_level(N: int) -> list[RepTriple]:
     """
     if N < 1:
         raise ValueError(f"level must be >= 1, got {N}")
-    out: list[RepTriple] = []
-    step = N // math.gcd(4, N)  # 4*sigma = 0 mod N  <=>  sigma = 0 mod step
-    for a in range(N - 2):
-        for b in range(a + 1, N - 1):
-            first = -(a + b) % step
-            if first <= b:
-                first += ((b - first) // step + 1) * step
-            for c in range(first, N, step):
-                if math.gcd(math.gcd(a, b), math.gcd(c, N)) != 1:
-                    continue
-                out.append(RepTriple(a, b, c, N))
-    return out
+    return [RepTriple(a, b, c, N) for a, b, c in _admissible(N)]
 
 
 @dataclass(frozen=True)
@@ -204,18 +207,6 @@ def _triple_from_exponents(exponents: list[Fraction]) -> RepTriple:
         level = level * e.denominator // math.gcd(level, e.denominator)
     ints = sorted(int(e * level) for e in exponents)
     return validate_triple(ints[0], ints[1], ints[2], level)
-
-
-def _pattern_m(t: RepTriple) -> Optional[int]:
-    """M' when N = 2M', M' >= 4, and two exponents differ by exactly M'."""
-    if t.N % 2 != 0:
-        return None
-    m = t.N // 2
-    if m < 4:
-        return None
-    if t.B - t.A == m or t.C - t.B == m or t.C - t.A == m:
-        return m
-    return None
 
 
 def _check_quarter_turns(**turns: int) -> None:
@@ -339,21 +330,30 @@ def ubd_criterion(N: int) -> list[int]:
     return [p for p, _ in prime_factors(rest)]
 
 
-def _classifier(N: int) -> Callable[[RepTriple], Classification]:
-    """Classification of level-N triples: one shared object per distinct value."""
-    primes = tuple(ubd_criterion(N))
-    shared: dict[tuple[bool, Optional[int]], Classification] = {}
+def _classified(
+    N: int, triples: Iterable[tuple[int, int, int]], primes: Optional[tuple[int, ...]] = None
+) -> tuple[list[Classification], list[tuple[int, int, int, int]]]:
+    """The level-N classifications, each built once, and (a, b, c, i) for each
+    sorted triple, classified classes[i]; primes defaults to ubd_criterion(N).
+    classes[0] is plain; classes[1] is the finite-image pattern (N = 2M',
+    M' >= 4, two exponents M' apart; m = 0 matches no difference) or, at
+    level 7, the primitive classes."""
+    primes = tuple(ubd_criterion(N)) if primes is None else primes
+    classes = [Classification(N < 6, False, None, primes, ())]
+    m = N // 2 if N % 2 == 0 and N >= 8 else 0
+    if m:
+        classes.append(Classification(N < 6, False, m, primes, ()))
+    if N == 7:
+        classes.append(Classification(N < 6, True, None, primes, (PRIMITIVE_NOTE,)))
+        return classes, [(a, b, c, int(frozenset((a, b, c)) in LEVEL7_PRIMITIVE_CLASSES))
+                         for a, b, c in triples]
+    return classes, [(a, b, c, 1 if m in (b - a, c - b, c - a) else 0) for a, b, c in triples]
 
-    def classify(t: RepTriple) -> Classification:
-        primitive = N == 7 and frozenset({t.A, t.B, t.C}) in LEVEL7_PRIMITIVE_CLASSES
-        key = (primitive, _pattern_m(t))
-        cls = shared.get(key)
-        if cls is None:
-            notes = (PRIMITIVE_NOTE,) if primitive else ()
-            cls = shared[key] = Classification(N < 6, primitive, key[1], primes, notes)
-        return cls
 
-    return classify
+def _pattern_m(t: RepTriple) -> Optional[int]:
+    """M' when N = 2M', M' >= 4, and two exponents differ by exactly M'."""
+    classes, [(*_, i)] = _classified(t.N, [(t.A, t.B, t.C)], primes=())
+    return classes[i].gamma02_pattern
 
 
 def classify_triple(t: RepTriple) -> Classification:
@@ -362,7 +362,8 @@ def classify_triple(t: RepTriple) -> Classification:
     >>> classify_triple(validate_triple(1, 3, 7, 11)).ubd_primes
     (11,)
     """
-    return _classifier(t.N)(t)
+    classes, [(*_, i)] = _classified(t.N, [(t.A, t.B, t.C)])
+    return classes[i]
 
 
 def classify_level(N: int) -> list[tuple[RepTriple, Classification]]:
@@ -371,5 +372,5 @@ def classify_level(N: int) -> list[tuple[RepTriple, Classification]]:
     >>> [c.primitive_level7 for _, c in classify_level(7)]
     [False, False, False, True, True]
     """
-    classify = _classifier(N)
-    return [(t, classify(t)) for t in enumerate_level(N)]
+    classes, rows = _classified(N, _admissible(N))
+    return [(RepTriple(a, b, c, N), classes[i]) for a, b, c, i in rows]

@@ -306,7 +306,8 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
         shift = delta + nu_6n
         k = n_max * shift + 1
         w = min(n_max, -(-k // nu_6n))
-        residues = _frobenius(build_mde(t, w), lead, _recursion_c(t, lead, n_max), p**k, w)
+        c = _recursion_c(t, lead, n_max) if w > 1 else [0] * n_max  # window 1 reads no c_k
+        residues = _frobenius(build_mde(t, w), lead, c, p**k, w)
         powers = (p ** (n * shift) for n in range(n_max + 1))
         if all(a % q == 0 and a // q % p for a, q in zip(residues, powers)):
             observed = predicted

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vvmf3.cli as cli
-from conftest import oracle_g_series
+from conftest import brute_force_level, oracle_g_series
 from vvmf3.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, FORMAT_ENV_VAR, run
 from vvmf3.mde import build_mde, minimal_vector
 from vvmf3.qseries import QExpansion
@@ -164,8 +164,11 @@ def test_scan_csv_builds_no_json(capsys, monkeypatch) -> None:
 
 
 def _scan_reference(lo: int, hi: int, fmt: str) -> str:
-    """scan's output built the plain way: json.dumps, csv.writer, ljust."""
-    pairs = [(t, classify_triple(t)) for n in range(lo, hi + 1) for t in enumerate_level(n)]
+    """scan's output built the plain way: every 3-subset filtered, each triple
+    validated and classified on its own, then json.dumps, csv.writer, ljust."""
+    triples = [validate_triple(a, b, c, n) for n in range(lo, hi + 1)
+               for a, b, c in brute_force_level(n)]
+    pairs = [(t, classify_triple(t)) for t in triples]
     if fmt == "json":
         rows = [{"triple": t.to_json_dict(), "classification": c.to_json_dict()}
                 for t, c in pairs]
@@ -187,14 +190,16 @@ def _scan_reference(lo: int, hi: int, fmt: str) -> str:
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
-@pytest.mark.parametrize("lo, hi", [(1, 2), (1, 12), (5, 8), (60, 66)])
+@pytest.mark.parametrize("lo, hi", [(1, 2), (1, 12), (5, 8), (60, 66), (95, 100)])
 def test_scan_output_matches_reference(lo, hi, fmt, capsys) -> None:
     # 1..2 has no triples; level 12 has k0 < 0 and cells wider than their
-    # header; level 7 has notes; 60..66 has ubd_primes and gamma02 patterns.
+    # header; level 7 has notes; 60..66 has ubd_primes and gamma02 patterns;
+    # 95..100 is the top of the benchmark's range.
     argv = ["scan", "--level", str(lo), "--level-max", str(hi), "--format", fmt]
     assert run(argv) == EXIT_OK
     out = capsys.readouterr().out
-    assert out == _scan_reference(lo, hi, fmt)
+    # Lines, not one string: pytest reports the first differing line cheaply.
+    assert out.splitlines(keepends=True) == _scan_reference(lo, hi, fmt).splitlines(keepends=True)
     if (lo, hi) == (1, 2):
         assert '"rows": []' in out if fmt == "json" else len(out.splitlines()) == 1
 

@@ -75,6 +75,20 @@ def test_enumerate_matches_brute_force_random_levels(N):
     assert [(t.A, t.B, t.C) for t in enumerate_level(N)] == brute_force_level(N)
 
 
+def test_admissible_rows_validate_unchanged():
+    # scan takes its rows from the enumerator without building a RepTriple,
+    # so nothing else re-validates them.  The totals are the populations of
+    # the criterion-06 sweep (N <= 60) and of the scan benchmark (N <= 100).
+    counts = [0] * 101
+    for N in range(1, 101):
+        for a, b, c in reps._admissible(N):
+            t = validate_triple(a, b, c, N)
+            assert (t.A, t.B, t.C) == (a, b, c), N
+            counts[N] += 1
+    assert sum(counts[:61]) == 19751
+    assert sum(counts) == 92124
+
+
 def test_family_argument_validation():
     cases = (
         (lambda: gamma02_family(0, 0, 0), "M must be >= 1, got 0"),

@@ -574,6 +574,24 @@ def test_verify_formula_stays_on_modular_path_with_shift(monkeypatch) -> None:
     assert report.verdict == "formula-verified"
 
 
+def test_verify_formula_builds_c_only_past_window_one(monkeypatch) -> None:
+    # At window 1 (shift 0, p = 11) _frobenius reads no c_k; at window 31
+    # (shift 2, p = 3) it reads c_1..c_59.
+    built = []
+
+    def spy(t, lead, T, first=1):
+        built.append(T)
+        return _recursion_c(t, lead, T, first)
+
+    monkeypatch.setattr(vvmf3.valuation, "_recursion_c", spy)
+    assert verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=100).verdict \
+        == "formula-verified"
+    assert built == []
+    assert verify_formula(validate_triple(0, 1, 26, 27), 3, n_max=60).verdict \
+        == "formula-verified"
+    assert built == [60]
+
+
 @pytest.mark.parametrize("tup, p", [((1, 3, 7, 11), 11), ((0, 1, 26, 54), 3)])
 def test_predicted_valuation_matches_verify_formula_column(monkeypatch, tup, p) -> None:
     # One law behind both: no lambda_n call, and the same column; the
