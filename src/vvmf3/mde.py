@@ -25,8 +25,8 @@ the theory of modular forms mod small primes).  component_series carries the
 coefficients over the running lcm L of their reduced denominators, as the
 integers a(j) * L, so the numbers it adds stay about as large as the reduced
 coefficients and each coefficient takes one gcd of that size.  ode_residual
-evaluates the same row sums over a whole series as three integer
-convolutions of the h arrays.
+evaluates the same row sums over a whole series, one dot product per
+coefficient.  Both read their rows of the quadratic P_m(j) from _rows.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
-from typing import Optional
+from typing import Iterator, Optional
 
 from .arith import RationalLike
-from .qseries import QExpansion, _convolve, _eisenstein_coeffs, _integral, modular_derivative
+from .qseries import QExpansion, _eisenstein_coeffs, _integral, modular_derivative
 from .reps import RepTriple
 
 __all__ = [
@@ -243,6 +243,31 @@ def _frobenius(sys: MDESystem, lead: int, c: list[int], modulus: int, window: in
     return anum
 
 
+def _rows(
+    sys: MDESystem, scales: tuple[int, int, int], v0: int, d: int, first: int, T: int
+) -> Iterator[list[int]]:
+    """For n = first, ..., T, the row p with p[m - first] = P_m(n - m), m = first..n.
+
+    P_m(j) = s2 h2[m] v_j (v_j - d) + s1 h1[m] v_j + s0 h0[m] for the scales
+    (s2, s1, s0) and v_j = v0 + j d.  P_m is quadratic in j, so each row
+    follows from the last by two additions per entry: the first difference
+    in j is (2 s2 h2[m] v_j + s1 h1[m]) d, the second 2 s2 h2[m] d^2.  A
+    row's sum against the series reads it reversed, from P_n(0) on.  Every
+    row is the same list, updated in place, so that the last row's entries
+    are freed as the next row's are made; read each row before the next.
+    """
+    s2, s1, s0 = scales
+    h0, h1, h2 = sys.h0, sys.h1, sys.h2
+    base = v0 * (v0 - d)
+    p, dp, ddp = [], [], [2 * s2 * d * d * v for v in h2[first : T + 1]]
+    for n in range(first, T + 1):
+        p[:] = map(add, p, dp)
+        dp = list(map(add, dp, ddp))
+        p.append(s2 * h2[n] * base + s1 * h1[n] * v0 + s0 * h0[n])
+        dp.append((2 * s2 * h2[n] * v0 + s1 * h1[n]) * d)
+        yield p
+
+
 def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> QExpansion:
     """One Frobenius solution q^(lead/N) (1 + sum a(n) q^n) of the system.
 
@@ -257,24 +282,17 @@ def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> 
 
     The b_j of the earlier j are kept as rho * settled[j]: rho takes each r
     and is multiplied in once the later b_j, which are rescaled every row,
-    outnumber the square root of the earlier ones.  P_m(j) is quadratic in j,
-    so the row of P_{n-j}(j) follows from the last one by two additions.
+    outnumber the square root of the earlier ones.  The row of P_{n-j}(j)
+    comes from _rows with unit scales, v_j = lead + j N and d = N.
     """
     T = sys.order if order is None else order
     if T > sys.order:
         raise ValueError(f"system built to order {sys.order}, requested {T}")
     n_level = sys.triple.N
-    h0, h1, h2 = sys.h0, sys.h1, sys.h2
-    uu0 = lead * (lead - n_level)
-    # p[m - 1] = P_m(n - m), dp its first and ddp its second difference in n.
-    p, dp, ddp = [], [], [2 * n_level * n_level * v for v in h2[1 : T + 1]]
     settled, rho, recent, L = [1], 1, [], 1
     coeffs = [Fraction(1)]
-    for n, cn in enumerate(_recursion_c(sys.triple, lead, T), 1):
-        p = list(map(add, p, dp))
-        dp = list(map(add, dp, ddp))
-        p.append(h2[n] * uu0 + h1[n] * lead + h0[n])
-        dp.append((2 * h2[n] * lead + h1[n]) * n_level)
+    rows = _rows(sys, (1, 1, 1), lead, n_level, 1, T)
+    for n, (cn, p) in enumerate(zip(_recursion_c(sys.triple, lead, T), rows), 1):
         s = rho * sum(map(mul, settled, reversed(p)))
         s += sum(map(mul, recent, reversed(p[: len(recent)])))
         g = gcd(s, cn)
@@ -301,27 +319,26 @@ def ode_residual(sys: MDESystem, f: QExpansion) -> QExpansion:
     """Exact residual q^3 f''' + g2 q^2 f'' + g1 q f' + g0 f through
     T = min(f.order, sys.order).
 
-    Write f = q^(s/e) sum a_n q^n / l with integers a_n and v_n = s + e n.
+    Write f = q^(s/e) sum a_n q^n / l with integers a_n and v_j = s + e j.
     Times 6N^3 e^3 l, the coefficient of q^(s/e + n) is the recursion's row
-    sum over j <= n: the diagonal 6N^3 v_n (v_n - e)(v_n - 2e) a_n plus three
-    integer convolutions, of h2 with N^2 e v (v - e) a, of h1 with N e^2 v a
-    and of h0 with e^3 a.  It is identically zero for recursion output; for a
-    perturbed series it isolates phi(s/e + n) times the perturbation.
+    sum over j <= n: the diagonal 6N^3 v_n (v_n - e)(v_n - 2e) a_n plus the
+    dot product of a_0..a_n with the row R_{n-j}(j) of
+    R_m(j) = N^2 e h2[m] v_j (v_j - e) + N e^2 h1[m] v_j + e^3 h0[m], which
+    _rows advances by finite differences.  It is identically zero for
+    recursion output; for a perturbed series it isolates phi(s/e + n) times
+    the perturbation.
     """
     T = min(f.order, sys.order)
     a, l = _integral(f.coeffs[: T + 1])
     s, e = f.exponent.numerator, f.exponent.denominator
     n_level = sys.triple.N
-    v = [s + e * n for n in range(T + 1)]
-    va = list(map(mul, v, a))
-    terms = [6 * n_level**3 * x * (w - e) * (w - 2 * e) for x, w in zip(va, v)]
-    for h, row in (
-        (sys.h2, [n_level * n_level * e * x * (w - e) for x, w in zip(va, v)]),
-        (sys.h1, [n_level * e * e * x for x in va]),
-        (sys.h0, [e**3 * x for x in a]),
-    ):
-        terms = list(map(add, terms, _convolve(h[: T + 1], row)))
-    den = 6 * n_level**3 * e**3 * l
+    cube = 6 * n_level**3
+    scales = (n_level * n_level * e, n_level * e * e, e**3)
+    terms = []
+    for n, row in enumerate(_rows(sys, scales, s, e, 0, T)):
+        v = s + e * n
+        terms.append(cube * v * (v - e) * (v - 2 * e) * a[n] + sum(map(mul, a, reversed(row))))
+    den = cube * e**3 * l
     return QExpansion(f.exponent, (Fraction(x, den) for x in terms))
 
 

@@ -5,18 +5,21 @@ with rational r in [0, 1) and rational coefficients.  T is the truncation
 order: coefficients of q^(r+n) are exact for n <= T and unknown beyond.
 Arithmetic propagates the smallest valid order of its operands, so precision
 loss is always explicit, and f.truncate(T) is the one way to shorten a series.
-Every series product is one integer convolution, _convolve, which
-ode_residual shares.  A float entering a series raises TypeError.
+A product of two series is one integer convolution, _convolve, a Kronecker
+product suited to two operands of about the same width.  A narrow integer
+array against a wide series is instead one dot product per coefficient,
+_row_product.  A float entering a series raises TypeError.
 
 The module also provides the weight-k Eisenstein series (whose numerators
 build_mde reads to construct the differential equation) and the
-weight-raising modular derivative, one _convolve of the series against E2.
+weight-raising modular derivative, one _row_product of E2 against the series.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .arith import RationalLike, _exact, bernoulli, rational_str, sigma_k
@@ -185,6 +188,19 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
 
 
+def _row_product(narrow: Sequence[int], wide: Sequence[int]) -> list[int]:
+    """The Cauchy sums c_n = sum_{i+j=n} narrow_i wide_j for n < len(narrow) = len(wide).
+
+    One dot product per coefficient: c_n multiplies each wide_j by one narrow
+    entry, so a narrow operand of tens of bits costs about len^2 / 2 products
+    of a small int by a wide one.  _convolve would pack the narrow operand at
+    the wide operand's digit width.
+    """
+    rev = narrow[::-1]
+    top = len(narrow) - 1
+    return [sum(map(mul, wide, rev[top - n :])) for n in range(len(wide))]
+
+
 # Eisenstein coefficients per weight, one list each; extended on demand.
 _EISENSTEIN: dict[int, list[Fraction]] = {}
 
@@ -220,8 +236,8 @@ def modular_derivative(f: QExpansion, k: RationalLike) -> QExpansion:
     theta multiplies the coefficient of q^(r+n) by (r+n).  The result is a
     weight k+2 object when f has weight k, to the order of f; truncate f
     first for a shorter result.  With f's coefficients a_n / l over one
-    denominator, c = _convolve(E2, a), r = s/e and k = kn/kd, the coefficient
-    of q^(r+n) is (12 kd (s + e n) a_n - kn e c_n) / (12 kd e l).
+    denominator, c = _row_product(E2, a), r = s/e and k = kn/kd, the
+    coefficient of q^(r+n) is (12 kd (s + e n) a_n - kn e c_n) / (12 kd e l).
 
     >>> modular_derivative(QExpansion(0, [1, 0, 0]), 0).coeffs
     (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))
@@ -229,7 +245,7 @@ def modular_derivative(f: QExpansion, k: RationalLike) -> QExpansion:
     kn, kd = _exact(k).as_integer_ratio()
     s, e = f.exponent.as_integer_ratio()
     a, l = _integral(f.coeffs)
-    c = _convolve([x.numerator for x in _eisenstein_coeffs(2, f.order)], a)
+    c = _row_product([x.numerator for x in _eisenstein_coeffs(2, f.order)], a)
     den = 12 * kd * e * l
     terms = (12 * kd * (s + e * n) * an - kn * e * cn for n, (an, cn) in enumerate(zip(a, c)))
     return QExpansion(f.exponent, [Fraction(x, den) for x in terms])

@@ -11,8 +11,11 @@ algorithms: reference_law takes nu_p of every c_k of the recursion, where the
 package counts the terms of arithmetic progressions;
 reference_denominator_profile takes nu_p of every coefficient for every
 prime, where the package takes only the valuations that can move the
-statistics, and reference_modular_derivative builds D_k f from Fraction series
-operations, where the package takes one integer convolution.
+statistics, reference_modular_derivative builds D_k f from Fraction series
+operations, where the package takes one dot product per coefficient, and
+reference_ode_residual takes three Kronecker convolutions against the h
+arrays, where the package takes one dot product per coefficient against a
+row advanced by finite differences.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ import random
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd
+from operator import add, mul
 
 from vvmf3.arith import INFINITY, int_valuation, prime_factors
 from vvmf3.mde import MDESystem
-from vvmf3.qseries import QExpansion, eisenstein
+from vvmf3.qseries import QExpansion, _convolve, _integral, eisenstein
 from vvmf3.reps import RepTriple, validate_triple
 from vvmf3.valuation import DenominatorProfile, PrimeStats
 
@@ -205,6 +209,34 @@ def reference_modular_derivative(f: QExpansion, k) -> QExpansion:
     r = f.exponent
     theta = QExpansion(r, ((r + n) * c for n, c in enumerate(f.coeffs)))
     return theta + (eisenstein(2, f.order) * f).scale(Fraction(k) / -12)
+
+
+def reference_ode_residual(sys: MDESystem, f: QExpansion) -> QExpansion:
+    """Exact residual q^3 f''' + g2 q^2 f'' + g1 q f' + g0 f through
+    T = min(f.order, sys.order).
+
+    Write f = q^(s/e) sum a_n q^n / l with integers a_n and v_n = s + e n.
+    Times 6N^3 e^3 l, the coefficient of q^(s/e + n) is the recursion's row
+    sum over j <= n: the diagonal 6N^3 v_n (v_n - e)(v_n - 2e) a_n plus three
+    integer convolutions, of h2 with N^2 e v (v - e) a, of h1 with N e^2 v a
+    and of h0 with e^3 a.  It is identically zero for recursion output; for a
+    perturbed series it isolates phi(s/e + n) times the perturbation.
+    """
+    T = min(f.order, sys.order)
+    a, l = _integral(f.coeffs[: T + 1])
+    s, e = f.exponent.numerator, f.exponent.denominator
+    n_level = sys.triple.N
+    v = [s + e * n for n in range(T + 1)]
+    va = list(map(mul, v, a))
+    terms = [6 * n_level**3 * x * (w - e) * (w - 2 * e) for x, w in zip(va, v)]
+    for h, row in (
+        (sys.h2, [n_level * n_level * e * x * (w - e) for x, w in zip(va, v)]),
+        (sys.h1, [n_level * e * e * x for x in va]),
+        (sys.h0, [e**3 * x for x in a]),
+    ):
+        terms = list(map(add, terms, _convolve(h[: T + 1], row)))
+    den = 6 * n_level**3 * e**3 * l
+    return QExpansion(f.exponent, (Fraction(x, den) for x in terms))
 
 
 def brute_force_level(N: int) -> list[tuple[int, int, int]]:

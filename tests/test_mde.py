@@ -8,6 +8,8 @@ from pathlib import Path
 from sys import executable
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vvmf3.mde import (
     _recursion_c,
@@ -29,6 +31,7 @@ from conftest import (
     oracle_phi,
     oracle_phi_j,
     SEED,
+    reference_ode_residual,
     reference_unreduced,
     sample_triples,
 )
@@ -188,6 +191,69 @@ def test_ode_residual_matches_oracle_on_non_solutions():
                 + oracle_phi(gj, r + n) * f[n]
                 for n in range(T + 1)
             ], (t, r)
+
+
+# The systems the reference comparison draws from, built once per order.
+_RESIDUAL_SYSTEMS = {
+    (t, order): build_mde(t, order)
+    for t in (ANCHOR, UNBOUNDED, validate_triple(0, 3, 5, 8), validate_triple(2, 7, 12, 21))
+    for order in (0, 1, 9, 24)
+}
+_residual_coefficient = st.one_of(
+    st.integers(min_value=-(2**80), max_value=2**80).map(Fraction),
+    st.fractions(min_value=Fraction(-99), max_value=Fraction(99), max_denominator=10**6),
+)
+
+
+@st.composite
+def residual_case(draw):
+    t, order = draw(st.sampled_from(list(_RESIDUAL_SYSTEMS)))
+    sys = _RESIDUAL_SYSTEMS[(t, order)]
+    # Exponents with denominators unrelated to N as well as multiples of 1/N;
+    # series orders below, at and above the system's.
+    den = draw(st.sampled_from([1, t.N, 2 * t.N, 97, 360]))
+    exponent = Fraction(draw(st.integers(min_value=0, max_value=den - 1)), den)
+    size = draw(st.sampled_from([0, 1, max(order - 1, 0), order, order + 3]))
+    if draw(st.booleans()):
+        coeffs = [Fraction(0)] * (size + 1)
+    else:
+        coeffs = draw(st.lists(_residual_coefficient, min_size=size + 1, max_size=size + 1))
+    return sys, QExpansion(exponent, coeffs)
+
+
+@given(residual_case())
+@example((_RESIDUAL_SYSTEMS[(UNBOUNDED, 0)], QExpansion(Fraction(5, 97), [-3])))
+@example((_RESIDUAL_SYSTEMS[(ANCHOR, 9)], QExpansion(0, [0] * 13)))
+@example((_RESIDUAL_SYSTEMS[(ANCHOR, 24)], QExpansion(Fraction(1, 7), [-1, 2, -(2**80)] * 4)))
+@settings(max_examples=150, deadline=None)
+def test_ode_residual_matches_convolution_reference(case):
+    sys, f = case
+    res = ode_residual(sys, f)
+    assert res == reference_ode_residual(sys, f)
+    assert res.order == min(f.order, sys.order)
+    assert all(type(c) is Fraction for c in res.coeffs)
+
+
+def test_ode_residual_matches_convolution_reference_on_components():
+    # Every component of every triple with N <= 20 at order 40, the
+    # unbounded-denominator triple at order 300, and one perturbed component.
+    systems = [build_mde(t, 40) for N in range(1, 21) for t in enumerate_level(N)]
+    systems.append(build_mde(UNBOUNDED, 300))
+    assert len(systems) == 729
+    for sys in systems:
+        for comp in minimal_vector(sys).components:
+            res = ode_residual(sys, comp)
+            assert res == reference_ode_residual(sys, comp), sys.triple
+            assert not any(res.coeffs)
+    sys = build_mde(UNBOUNDED, 60)
+    comp = component_series(sys, 3)
+    coeffs = list(comp.coeffs)
+    coeffs[17] -= Fraction(1, 11)
+    bumped = QExpansion(comp.exponent, coeffs)
+    res = ode_residual(sys, bumped)
+    assert res == reference_ode_residual(sys, bumped)
+    assert not any(res.coeffs[:17])
+    assert res.coeffs[17] == -indicial_phi(sys, comp.exponent + 17) / 11
 
 
 def test_derived_basis_anchor():

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vvmf3.mde
 import vvmf3.qseries
-from vvmf3.qseries import QExpansion, eisenstein, modular_derivative
+from vvmf3.mde import build_mde, derived_basis, minimal_vector, ode_residual
+from vvmf3.qseries import QExpansion, _convolve, _row_product, eisenstein, modular_derivative
+from vvmf3.reps import validate_triple
 from conftest import _smulser, oracle_eisenstein, reference_modular_derivative
 
 
@@ -240,3 +243,61 @@ def test_modular_derivative_matches_series_reference(f, k):
     g = modular_derivative(f, k)
     assert g == reference_modular_derivative(f, k)
     assert all(type(c) is Fraction for c in g.coeffs)
+
+
+# Integer operands for the row product: narrow ones of tens of bits, wide ones
+# up to 2000 bits, of either sign, and all-zero lists.
+_narrow_entries = st.integers(min_value=-(2**40), max_value=2**40)
+_wide_entries = st.integers(min_value=-(2**2000), max_value=2**2000)
+
+
+@st.composite
+def row_operands(draw):
+    size = draw(st.integers(min_value=1, max_value=80))
+    kinds = draw(st.sampled_from(
+        [("narrow", "wide"), ("wide", "wide"), ("wide", "narrow"), ("zero", "wide"),
+         ("narrow", "zero")]
+    ))
+
+    def operand(kind):
+        if kind == "zero":
+            return [0] * size
+        entries = _narrow_entries if kind == "narrow" else _wide_entries
+        return draw(st.lists(entries, min_size=size, max_size=size))
+
+    return operand(kinds[0]), operand(kinds[1])
+
+
+@given(row_operands())
+@example(([0], [2**2000]))
+@example(([-(2**40)] * 80, [-(2**2000)] * 80))
+@example(([1] + [0] * 79, [2**2000 - 1, -(2**2000)] * 40))
+@settings(max_examples=150, deadline=None)
+def test_row_product_matches_kronecker_convolution(operands):
+    a, b = operands
+    assert _row_product(a, b) == _convolve(a, b)
+
+
+def test_narrow_products_take_no_kronecker_product(monkeypatch):
+    # The residuals, the derived basis and the modular derivative multiply a
+    # narrow integer array by a wide series; only a product of two series
+    # packs both operands into one Kronecker product.
+    sizes = []
+
+    def spy(a, b):
+        sizes.append(len(a))
+        return _convolve(a, b)
+
+    for module in (vvmf3.qseries, vvmf3.mde):
+        if hasattr(module, "_convolve"):
+            monkeypatch.setattr(module, "_convolve", spy)
+    sys = build_mde(validate_triple(1, 3, 7, 11), 60)
+    mv = minimal_vector(sys)
+    residuals = [ode_residual(sys, f) for f in mv.components]
+    basis = derived_basis(sys, mv)
+    modular_derivative(mv.components[0], 5)
+    assert sizes == []
+    assert all(not any(r.coeffs) for r in residuals)
+    assert basis.determinant == basis.vandermonde
+    mv.components[0] * basis.first[1]
+    assert sizes == [61]
