@@ -27,6 +27,13 @@ integers a(j) * L, so the numbers it adds stay about as large as the reduced
 coefficients and each coefficient takes one gcd of that size.  ode_residual
 evaluates the same row sums over a whole series, one dot product per
 coefficient.  Both read their rows of the quadratic P_m(j) from _rows.
+
+So ode_residual is no independent check of _rows: a fault there that keeps
+each row homogeneous in (v0, d), such as a wrong factor on a difference,
+makes component_series return wrong coefficients whose residual is still
+zero.  The checks of _rows itself are the tests that compare ode_residual
+with the convolution form, and component_series with the naive and the
+unreduced recursions, all three kept in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -252,19 +259,18 @@ def _rows(
     (s2, s1, s0) and v_j = v0 + j d.  P_m is quadratic in j, so each row
     follows from the last by two additions per entry: the first difference
     in j is (2 s2 h2[m] v_j + s1 h1[m]) d, the second 2 s2 h2[m] d^2.  A
-    row's sum against the series reads it reversed, from P_n(0) on.  Every
-    row is the same list, updated in place, so that the last row's entries
-    are freed as the next row's are made; read each row before the next.
+    row's sum against the series reads it reversed, from P_n(0) on.
     """
     s2, s1, s0 = scales
     h0, h1, h2 = sys.h0, sys.h1, sys.h2
-    base = v0 * (v0 - d)
+    k2, k1 = s2 * v0 * (v0 - d), s1 * v0
+    j2, j1 = 2 * s2 * v0 * d, s1 * d
     p, dp, ddp = [], [], [2 * s2 * d * d * v for v in h2[first : T + 1]]
     for n in range(first, T + 1):
-        p[:] = map(add, p, dp)
+        p = list(map(add, p, dp))
         dp = list(map(add, dp, ddp))
-        p.append(s2 * h2[n] * base + s1 * h1[n] * v0 + s0 * h0[n])
-        dp.append((2 * s2 * h2[n] * v0 + s1 * h1[n]) * d)
+        p.append(k2 * h2[n] + k1 * h1[n] + s0 * h0[n])
+        dp.append(j2 * h2[n] + j1 * h1[n])
         yield p
 
 
@@ -292,7 +298,7 @@ def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> 
     settled, rho, recent, L = [1], 1, [], 1
     coeffs = [Fraction(1)]
     rows = _rows(sys, (1, 1, 1), lead, n_level, 1, T)
-    for n, (cn, p) in enumerate(zip(_recursion_c(sys.triple, lead, T), rows), 1):
+    for cn, p in zip(_recursion_c(sys.triple, lead, T), rows):
         s = rho * sum(map(mul, settled, reversed(p)))
         s += sum(map(mul, recent, reversed(p[: len(recent)])))
         g = gcd(s, cn)

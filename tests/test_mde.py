@@ -237,6 +237,9 @@ def test_ode_residual_matches_convolution_reference(case):
 def test_ode_residual_matches_convolution_reference_on_components():
     # Every component of every triple with N <= 20 at order 40, the
     # unbounded-denominator triple at order 300, and one perturbed component.
+    # component_series and ode_residual read their rows from the same
+    # mde._rows, so a zero residual alone cannot catch a fault there; the
+    # convolution reference can.
     systems = [build_mde(t, 40) for N in range(1, 21) for t in enumerate_level(N)]
     systems.append(build_mde(UNBOUNDED, 300))
     assert len(systems) == 729

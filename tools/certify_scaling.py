@@ -1,6 +1,6 @@
-"""Time one certification of a triple, stage by stage, at several orders.
+"""Time one certification of (1,3,7,11), stage by stage, at orders 100, 300, 1000.
 
-    python3 tools/certify_scaling.py [--triple 1,3,7,11] [--orders 100,300,1000]
+    python3 tools/certify_scaling.py
 
 It measures the package in the ``src`` directory of its own checkout.  A
 certification is the sequence of perfbench's basis_certify item: build_mde,
@@ -17,7 +17,6 @@ to compute the same numbers.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import platform
@@ -29,6 +28,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import vvmf3  # noqa: E402
 from vvmf3 import qseries  # noqa: E402
+
+TRIPLE = (1, 3, 7, 11)
+ORDERS = (100, 300, 1000)
 
 
 def certify(t: "vvmf3.RepTriple", order: int) -> dict:
@@ -66,17 +68,12 @@ def certify(t: "vvmf3.RepTriple", order: int) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--triple", default="1,3,7,11", help="A,B,C,N")
-    parser.add_argument("--orders", default="100,300,1000", help="comma-separated orders")
-    args = parser.parse_args(argv)
-    t = vvmf3.validate_triple(*map(int, args.triple.split(",")))
-    orders = [int(x) for x in args.orders.split(",")]
+def main() -> int:
+    t = vvmf3.validate_triple(*TRIPLE)
     print(json.dumps({
-        "triple": args.triple,
+        "triple": ",".join(map(str, TRIPLE)),
         "python": platform.python_version(),
-        "orders": {str(T): certify(t, T) for T in orders},
+        "orders": {str(T): certify(t, T) for T in ORDERS},
     }, indent=1))
     return 0
 
