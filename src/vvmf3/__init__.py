@@ -26,7 +26,6 @@ from .mde import (
     component_series,
     derived_basis,
     indicial_phi,
-    lambda_n,
     minimal_vector,
     ode_residual,
     phi_j,
@@ -41,7 +40,6 @@ from .reps import (
     FamilyResult,
     InvalidTripleError,
     RepTriple,
-    classify_level,
     classify_triple,
     enumerate_level,
     gamma02_family,
@@ -82,7 +80,6 @@ __all__ = [
     "ValuationValue",
     "bernoulli",
     "build_mde",
-    "classify_level",
     "classify_prime",
     "classify_triple",
     "component_series",
@@ -95,7 +92,6 @@ __all__ = [
     "indicial_phi",
     "int_valuation",
     "is_prime",
-    "lambda_n",
     "minimal_vector",
     "modular_derivative",
     "ode_residual",

@@ -102,8 +102,6 @@ def _fmt(x: object) -> str:
     # Exact type tests: isinstance against Fraction goes through ABCMeta.
     if type(x) is Fraction:
         return rational_str(x)
-    if type(x) is float:
-        return "inf" if x == float("inf") else str(x)
     return "" if x is None else str(x)
 
 

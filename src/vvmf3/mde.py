@@ -56,7 +56,6 @@ __all__ = [
     "component_series",
     "derived_basis",
     "indicial_phi",
-    "lambda_n",
     "minimal_vector",
     "ode_residual",
     "phi_j",
@@ -190,20 +189,11 @@ def _phi(sys: MDESystem, m: int, lam: Fraction) -> Fraction:
     return (sys.h2[m] * n * n * lam * (lam - 1) + sys.h1[m] * n * lam + sys.h0[m]) / (6 * n**3)
 
 
-def lambda_n(t: RepTriple, lead: int, n: int) -> int:
-    """The integer N^2 * phi(lead/N + n) / n; never zero for a valid triple.
+def _recursion_c(t: RepTriple, lead: int, T: int) -> list[int]:
+    """[c_1, ..., c_T] with c_k = 6N k lambda(k), checking the lead once.
 
-    Symmetric in the two non-lead exponents b, c: with a = lead,
+    lambda(k) = N^2 phi(a/N + k) / k = (Nk + a - b)(Nk + a - c) for a = lead:
     3a - sigma = (a - b) + (a - c) and 3a^2 - 2a sigma + omega = (a - b)(a - c).
-    """
-    if n < 1:
-        raise ValueError(f"lambda_n needs n >= 1, got {n}")
-    return _recursion_c(t, lead, n, first=n)[0] // (6 * t.N * n)
-
-
-def _recursion_c(t: RepTriple, lead: int, T: int, first: int = 1) -> list[int]:
-    """[c_first, ..., c_T] with c_k = 6N k lambda(k), checking the lead once.
-
     Raises ValueError for a lead that is not an exponent and ArithmeticError
     for a zero lambda(k), a resonance impossible for distinct exponents.
     """
@@ -212,7 +202,7 @@ def _recursion_c(t: RepTriple, lead: int, T: int, first: int = 1) -> list[int]:
     sig, n_level = t.sigma, t.N
     d, e = 3 * lead - sig, lead * (3 * lead - 2 * sig) + t.omega
     c = []
-    for k in range(first, T + 1):
+    for k in range(1, T + 1):
         nn = n_level * k
         val = nn * (nn + d) + e
         if val == 0:

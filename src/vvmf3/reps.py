@@ -23,7 +23,6 @@ __all__ = [
     "FamilyResult",
     "InvalidTripleError",
     "RepTriple",
-    "classify_level",
     "classify_triple",
     "enumerate_level",
     "gamma02_family",
@@ -35,10 +34,6 @@ __all__ = [
 LEVEL7_PRIMITIVE_CLASSES = frozenset({frozenset({1, 2, 4}), frozenset({3, 5, 6})})
 
 PRIMITIVE_NOTE = "congruence kernel asserted without proof; not verified here"
-
-# Levels dividing this number never pass the criterion.  Each exponent is twice
-# the largest predicted nu_p(z) among that prime's cases (cases 8, 7, 5 and 3a).
-_BOUNDED_PART = 2**8 * 3**6 * 5**2 * 7**2
 
 
 class InvalidTripleError(ValueError):
@@ -315,6 +310,40 @@ class Classification:
         }
 
 
+# The covered cases of each prime p <= 7, in the order they are tried:
+# (case_id, subcase, predicted nu_p(z_n), test on (N, omega, product)).  Every
+# prime above 7 is case 1 with prediction 0.
+_PRIME_CASES = {
+    2: ((8, None, 4, lambda n, om, pi: n % 32 == 0),),
+    3: ((6, None, 1, lambda n, om, pi: om % 3 != 0 and n % 9 == 0),
+        # 3|omega with 27|N forces every exponent into one nonzero residue
+        # class mod 3, so z_n = 24*lead*[10*lead*(Y+Z) + 31*Y*Z] mod 81 has
+        # one factor 3 from 24 and exactly two from the bracket for some
+        # labeling (all three brackets >= 3 would need the exponents congruent
+        # mod 9, impossible with nu_3(sigma) >= 3): the constant is 3.
+        (7, None, 3, lambda n, om, pi: om % 3 == 0 and n % 27 == 0)),
+    5: ((4, None, 0, lambda n, om, pi: pi % 5 != 0),
+        (5, None, 1, lambda n, om, pi: n % 25 == 0)),
+    7: ((2, None, 0, lambda n, om, pi: pi % 7 == 0),
+        (3, "a", 1, lambda n, om, pi: n % 49 == 0 and om % 7 == 0),
+        (3, "b", 0, lambda n, om, pi: n % 49 == 0)),
+}
+
+# Levels dividing this number never pass the criterion: each exponent is twice
+# the largest nu_p(z_n) that a case of that prime predicts.
+_BOUNDED_PART = math.prod(p ** (2 * max(v for _, _, v, _ in cases))
+                          for p, cases in _PRIME_CASES.items())
+
+
+def _case_table(t: RepTriple, p: int) -> Optional[tuple[int, Optional[str], int]]:
+    """(case_id, subcase, predicted nu_p(z_n)) of the first case of the prime p
+    whose test holds, or None when not covered."""
+    if p > 7:
+        return (1, None, 0)
+    return next(((case_id, subcase, predicted) for case_id, subcase, predicted, test
+                 in _PRIME_CASES[p] if test(t.N, t.omega, t.product)), None)
+
+
 def ubd_criterion(N: int) -> list[int]:
     """Primes dividing N / gcd(N, 2^8 * 3^6 * 5^2 * 7^2), sorted.
 
@@ -364,13 +393,3 @@ def classify_triple(t: RepTriple) -> Classification:
     """
     classes, [(*_, i)] = _classified(t.N, [(t.A, t.B, t.C)])
     return classes[i]
-
-
-def classify_level(N: int) -> list[tuple[RepTriple, Classification]]:
-    """(t, classify_triple(t)) for t in enumerate_level(N), the level's cells once.
-
-    >>> [c.primitive_level7 for _, c in classify_level(7)]
-    [False, False, False, True, True]
-    """
-    classes, rows = _classified(N, _admissible(N))
-    return [(RepTriple(a, b, c, N), classes[i]) for a, b, c, i in rows]

@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 from .arith import INFINITY, ValuationValue, int_valuation, is_prime, prime_factors
 from .mde import _frobenius, _recursion_c, build_mde, component_series
 from .qseries import QExpansion
-from .reps import RepTriple, ubd_criterion
+from .reps import RepTriple, _case_table, ubd_criterion
 
 __all__ = [
     "DenominatorProfile",
@@ -147,34 +147,6 @@ def z_n_value(t: RepTriple, lead: int, n: int) -> int:
         + 240 * lead * om
         + 504 * pi
     )
-
-
-def _case_table(t: RepTriple, p: int) -> Optional[tuple[int, Optional[str], int]]:
-    """(case_id, subcase, predicted nu_p(z_n)) or None when not covered."""
-    big_n, om, pi = t.N, t.omega, t.product
-    if p > 7:
-        return (1, None, 0)
-    if p == 7:
-        if pi % 7 == 0:
-            return (2, None, 0)
-        if big_n % 49 == 0:
-            return (3, "a", 1) if om % 7 == 0 else (3, "b", 0)
-        return None
-    if p == 5:
-        if pi % 5 != 0:
-            return (4, None, 0)
-        return (5, None, 1) if big_n % 25 == 0 else None
-    if p == 3:
-        if om % 3 != 0:
-            return (6, None, 1) if big_n % 9 == 0 else None
-        # 3|omega with 27|N forces every exponent into one nonzero residue
-        # class mod 3, so z_n = 24*lead*[10*lead*(Y+Z) + 31*Y*Z] mod 81 has
-        # one factor 3 from 24 and exactly two from the bracket for some
-        # labeling (all three brackets >= 3 would need the exponents congruent
-        # mod 9, impossible with nu_3(sigma) >= 3): the constant is 3.
-        return (7, None, 3) if big_n % 27 == 0 else None
-    # p == 2
-    return (8, None, 4) if big_n % 32 == 0 else None
 
 
 def classify_prime(t: RepTriple, p: int) -> PrimeCase:

@@ -19,7 +19,6 @@ from vvmf3.mde import (
     component_series,
     derived_basis,
     indicial_phi,
-    lambda_n,
     minimal_vector,
     ode_residual,
     phi_j,
@@ -61,9 +60,11 @@ def test_criterion_01_indicial_identities() -> None:
                 sys = build_mde(t, 1)
                 for lead in (t.A, t.B, t.C):
                     r = Fraction(lead, t.N)
+                    b, c = (e for e in (t.A, t.B, t.C) if e != lead)
                     for n in range(51):
+                        # N^2 phi(r + n) = n lambda(n), lambda(n) = (Nn + a - b)(Nn + a - c).
                         lhs2 = t.N**2 * indicial_phi(sys, r + n)
-                        assert lhs2 == (n * lambda_n(t, lead, n) if n else 0)
+                        assert lhs2 == n * (t.N * n + lead - b) * (t.N * n + lead - c)
                         lhs3 = t.N**3 * phi_j(sys, 1, r + n)
                         assert lhs3 == z_n_value(t, lead, n)
                 checked += 1
@@ -132,7 +133,8 @@ def test_criterion_05_valuation_law() -> None:
 
         acc = 0
         for n, observed, predicted in report.rows:
-            acc += int_valuation(n, 11) + int_valuation(lambda_n(t, 1, n), 11)
+            lam = (t.N * n + 1 - t.B) * (t.N * n + 1 - t.C)  # lambda(n), lead 1
+            acc += int_valuation(n, 11) + int_valuation(lam, 11)
             assert observed == predicted == -n - acc
         observations = [observed for _, observed, _ in report.rows]
         assert all(b < a for a, b in zip(observations, observations[1:]))

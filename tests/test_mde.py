@@ -17,7 +17,6 @@ from vvmf3.mde import (
     component_series,
     derived_basis,
     indicial_phi,
-    lambda_n,
     minimal_vector,
     ode_residual,
     phi_j,
@@ -98,20 +97,16 @@ def test_phi_identities_vs_oracle():
 
 
 def test_lambda_n_positive_and_consistent():
+    # c_k = 6N k lambda(k) = 6N^3 phi(lead/N + k), positive for every k >= 1.
     for t in sample_triples(25, 300):
         sys = build_mde(t, 0)
         for lead in (t.A, t.B, t.C):
             r = Fraction(lead, t.N)
-            for n in range(1, 12):
-                lam = lambda_n(t, lead, n)
-                assert lam > 0
-                assert Fraction(t.N**2) * indicial_phi(sys, r + n) == n * lam
-            c = [6 * t.N * n * lambda_n(t, lead, n) for n in range(1, 12)]
-            assert _recursion_c(t, lead, 11) == c
-    with pytest.raises(ValueError):
-        lambda_n(ANCHOR, 1, 0)
-    with pytest.raises(ValueError):
-        lambda_n(ANCHOR, 3, 1)
+            c = _recursion_c(t, lead, 11)
+            assert len(c) == 11
+            for k, c_k in enumerate(c, 1):
+                assert c_k > 0
+                assert 6 * t.N**3 * indicial_phi(sys, r + k) == c_k
     with pytest.raises(ValueError):
         _recursion_c(ANCHOR, 3, 1)
 
@@ -298,7 +293,7 @@ def test_build_mde_validation():
 
 _OPTIMIZED_PROBE = """
 import sys
-from vvmf3.mde import _exact_div, _recursion_c, lambda_n
+from vvmf3.mde import _exact_div, _recursion_c
 from vvmf3.reps import RepTriple
 
 assert sys.flags.optimize
@@ -308,7 +303,6 @@ for name, value in zip("ABCN", (0, 1, 5, 1)):
     object.__setattr__(t, name, value)
 calls = (
     lambda: _exact_div(7, 2, "probe"),
-    lambda: lambda_n(t, 0, 1),
     lambda: _recursion_c(t, 0, 3),
 )
 for call in calls:
@@ -335,6 +329,5 @@ def test_invariants_survive_optimized_mode():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "probe is not divisible by 2: 7",
-        "lambda_n vanishes for RepTriple(A=0, B=1, C=5, N=1), lead 0, n = 1",
         "lambda_n vanishes for RepTriple(A=0, B=1, C=5, N=1), lead 0, n = 1",
     ]

@@ -11,7 +11,6 @@ import vvmf3.reps as reps
 from vvmf3.reps import (
     InvalidTripleError,
     RepTriple,
-    classify_level,
     classify_triple,
     enumerate_level,
     gamma02_family,
@@ -244,8 +243,10 @@ def test_classify_level_matches_classify_triple(monkeypatch):
     real = reps.ubd_criterion
     monkeypatch.setattr(reps, "ubd_criterion", counting)
     for N in range(1, 121):
-        pairs = classify_level(N)
+        # scan's rows: the level's classifications and an index per triple.
+        classes, rows = reps._classified(N, reps._admissible(N))
         assert levels == [N]  # the level-only cells are computed once
+        pairs = [(RepTriple(a, b, c, N), classes[i]) for a, b, c, i in rows]
         assert pairs == [(t, classify_triple(t)) for t in enumerate_level(N)]
         shared = {}
         for _, cls in pairs:

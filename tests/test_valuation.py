@@ -579,9 +579,9 @@ def test_verify_formula_builds_c_only_past_window_one(monkeypatch) -> None:
     # (shift 2, p = 3) it reads c_1..c_59.
     built = []
 
-    def spy(t, lead, T, first=1):
+    def spy(t, lead, T):
         built.append(T)
-        return _recursion_c(t, lead, T, first)
+        return _recursion_c(t, lead, T)
 
     monkeypatch.setattr(vvmf3.valuation, "_recursion_c", spy)
     assert verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=100).verdict \
@@ -593,14 +593,9 @@ def test_verify_formula_builds_c_only_past_window_one(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("tup, p", [((1, 3, 7, 11), 11), ((0, 1, 26, 54), 3)])
-def test_predicted_valuation_matches_verify_formula_column(monkeypatch, tup, p) -> None:
-    # One law behind both: no lambda_n call, and the same column; the
-    # level-54 pin has shift = nu_3(z_0) + nu_3(6) = 2.
-    def boom(*args):
-        raise AssertionError("lambda_n called")
-
-    for module in (vvmf3.mde, vvmf3.valuation):
-        monkeypatch.setattr(module, "lambda_n", boom, raising=False)
+def test_predicted_valuation_matches_verify_formula_column(tup, p) -> None:
+    # One law behind both: the same column; the level-54 pin has
+    # shift = nu_3(z_0) + nu_3(6) = 2.
     t = validate_triple(*tup)
     report = verify_formula(t, p, n_max=60)
     assert report.verdict == "formula-verified"
@@ -623,9 +618,10 @@ def test_denominator_profile_validation() -> None:
 def test_classifier_agrees_with_criterion_on_samples() -> None:
     # Every criterion prime lands in a covered case whose formula hypothesis
     # holds: at sampled levels, at every triple of level 243 = 3^5 (where
-    # 3 | omega would need nu_3(N) >= 7) and at sampled levels 3^7, 2 * 3^7.
+    # 3 | omega would need nu_3(N) >= 7), at sampled levels 3^7, 2 * 3^7, and
+    # at 5^3, 7^3 and 2^9, where 5, 7 and 2 first enter the criterion.
     triples = sample_triples(8, level_max=60) + enumerate_level(243)
-    for level in (2187, 4374):
+    for level in (125, 343, 512, 2187, 4374):
         triples += sample_triples(40, level_max=level, level_min=level)
     for t in triples:
         for p in ubd_criterion(t.N):
