@@ -52,10 +52,7 @@ def rational_str(x: RationalLike) -> str:
     >>> rational_str(Fraction(10, 2))
     '5'
     """
-    x = _exact(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(_exact(x))
 
 
 # The first 13 primes as witnesses make Miller-Rabin deterministic below

@@ -99,9 +99,6 @@ def _result(json_obj: Callable[[], object], header: tuple[str, ...],
 
 
 def _fmt(x: object) -> str:
-    # Exact type tests: isinstance against Fraction goes through ABCMeta.
-    if type(x) is Fraction:
-        return rational_str(x)
     return "" if x is None else str(x)
 
 

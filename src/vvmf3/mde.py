@@ -44,7 +44,7 @@ from math import gcd
 from operator import add, mul
 from typing import Iterator, Optional
 
-from .arith import RationalLike
+from .arith import RationalLike, _exact
 from .qseries import QExpansion, _eisenstein_coeffs, _integral, modular_derivative
 from .reps import RepTriple
 
@@ -170,7 +170,7 @@ def indicial_phi(sys: MDESystem, lam: RationalLike) -> Fraction:
 
     Its roots are exactly the leading exponents A/N, B/N, C/N.
     """
-    lam = Fraction(lam)
+    lam = _exact(lam)
     return lam * (lam - 1) * (lam - 2) + _phi(sys, 0, lam)
 
 
@@ -180,7 +180,7 @@ def phi_j(sys: MDESystem, j: int, lam: RationalLike) -> Fraction:
         raise ValueError(f"phi_j needs j >= 1, got {j}")
     if j > sys.order:
         raise ValueError(f"system built to order {sys.order}, requested j = {j}")
-    return _phi(sys, j, Fraction(lam))
+    return _phi(sys, j, _exact(lam))
 
 
 def _phi(sys: MDESystem, m: int, lam: Fraction) -> Fraction:

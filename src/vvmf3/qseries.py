@@ -5,10 +5,8 @@ with rational r in [0, 1) and rational coefficients.  T is the truncation
 order: coefficients of q^(r+n) are exact for n <= T and unknown beyond.
 Arithmetic propagates the smallest valid order of its operands, so precision
 loss is always explicit, and f.truncate(T) is the one way to shorten a series.
-A product of two series is one integer convolution, _convolve, a Kronecker
-product suited to two operands of about the same width.  A narrow integer
-array against a wide series is instead one dot product per coefficient,
-_row_product.  A float entering a series raises TypeError.
+Every integer Cauchy product is _row_product, one dot product per
+coefficient.  A float entering a series raises TypeError.
 
 The module also provides the weight-k Eisenstein series (whose numerators
 build_mde reads to construct the differential equation) and the
@@ -98,7 +96,7 @@ class QExpansion:
 
         Each operand is brought to integers over the lcm of its denominators,
         a_i / la and b_j / lb; the product coefficient is c_n / (la lb) for the
-        Cauchy sums c_n of _convolve.
+        Cauchy sums c_n of _row_product.
         """
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
@@ -108,7 +106,7 @@ class QExpansion:
         a, la = _integral(self._coeffs[: order + 1])
         b, lb = _integral(other._coeffs[: order + 1])
         den = la * lb
-        prod = [Fraction(c, den) for c in _convolve(a, b)]
+        prod = [Fraction(c, den) for c in _row_product(a, b)]
         exponent = self._exponent + other._exponent
         if exponent >= 1:
             # Fold the integer part of the exponent into the series: one exact
@@ -162,39 +160,12 @@ def _integral(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return [c.numerator * (l // c.denominator) for c in coeffs], l
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The Cauchy sums c_n = sum_{i+j=n} a_i b_j for n < len(a) = len(b).
-
-    A Kronecker substitution: each list is packed as signed k-bit digits into
-    one int, A = sum a_i 2^(k i), and one multiplication gives
-    A B = sum c_n 2^(k n).  k is the smallest multiple of 8 for which 2^(k-1)
-    exceeds every |a_i|, every |b_j| and the bound len(a) max|a| max|b| on
-    |c_n|, so no digit spills into its neighbour.
-    """
-    size = len(a)
-    ma, mb = max(map(abs, a)), max(map(abs, b))
-    width = max(size * ma * mb, ma, mb).bit_length() // 8 + 1  # bytes
-    half = 1 << (8 * width - 1)
-    # Adding half to every digit makes each one nonnegative: packing joins
-    # to_bytes calls, and the product's low digits are slices of one to_bytes.
-    bias = int.from_bytes(half.to_bytes(width, "little") * size, "little")
-
-    def pack(digits: Sequence[int]) -> int:
-        raw = b"".join((d + half).to_bytes(width, "little") for d in digits)
-        return int.from_bytes(raw, "little") - bias
-
-    size *= width
-    raw = ((pack(a) * pack(b) + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
-
-
 def _row_product(narrow: Sequence[int], wide: Sequence[int]) -> list[int]:
     """The Cauchy sums c_n = sum_{i+j=n} narrow_i wide_j for n < len(narrow) = len(wide).
 
     One dot product per coefficient: c_n multiplies each wide_j by one narrow
     entry, so a narrow operand of tens of bits costs about len^2 / 2 products
-    of a small int by a wide one.  _convolve would pack the narrow operand at
-    the wide operand's digit width.
+    of a small int by a wide one.
     """
     rev = narrow[::-1]
     top = len(narrow) - 1

@@ -12,10 +12,10 @@ package counts the terms of arithmetic progressions;
 reference_denominator_profile takes nu_p of every coefficient for every
 prime, where the package takes only the valuations that can move the
 statistics, reference_modular_derivative builds D_k f from Fraction series
-operations, where the package takes one dot product per coefficient, and
-reference_ode_residual takes three Kronecker convolutions against the h
-arrays, where the package takes one dot product per coefficient against a
-row advanced by finite differences.
+operations with E2 f as a schoolbook product, where the package takes one
+dot product per coefficient, and reference_ode_residual takes three
+schoolbook products with the h arrays, where the package takes one dot
+product per coefficient against a row advanced by finite differences.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import add, mul
 
 from vvmf3.arith import INFINITY, int_valuation, prime_factors
 from vvmf3.mde import MDESystem
-from vvmf3.qseries import QExpansion, _convolve, _integral, eisenstein
+from vvmf3.qseries import QExpansion, _integral
 from vvmf3.reps import RepTriple, validate_triple
 from vvmf3.valuation import DenominatorProfile, PrimeStats
 
@@ -208,7 +208,8 @@ def reference_modular_derivative(f: QExpansion, k) -> QExpansion:
     """D_k f = theta(f) - (k/12) E2 f from Fraction series operations."""
     r = f.exponent
     theta = QExpansion(r, ((r + n) * c for n, c in enumerate(f.coeffs)))
-    return theta + (eisenstein(2, f.order) * f).scale(Fraction(k) / -12)
+    e2f = QExpansion(r, _smulser(oracle_eisenstein(2, f.order), list(f.coeffs)))
+    return theta + e2f.scale(Fraction(k) / -12)
 
 
 def reference_ode_residual(sys: MDESystem, f: QExpansion) -> QExpansion:
@@ -234,7 +235,7 @@ def reference_ode_residual(sys: MDESystem, f: QExpansion) -> QExpansion:
         (sys.h1, [n_level * e * e * x for x in va]),
         (sys.h0, [e**3 * x for x in a]),
     ):
-        terms = list(map(add, terms, _convolve(h[: T + 1], row)))
+        terms = list(map(add, terms, _smulser(h[: T + 1], row)))
     den = 6 * n_level**3 * e**3 * l
     return QExpansion(f.exponent, (Fraction(x, den) for x in terms))
 

@@ -1,6 +1,8 @@
-"""The package's modules import one another without a cycle."""
+"""The package's modules import one another without a cycle, and nothing
+outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vvmf3"
@@ -36,3 +38,20 @@ def test_import_graph_is_acyclic() -> None:
 
     for module in sorted(graph):
         visit(module, ())
+
+
+def test_package_imports_only_the_standard_library() -> None:
+    imported = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    assert {"fractions", "math"} <= imported.keys()
+    outside = {m: f for m, f in imported.items() if m not in sys.stdlib_module_names}
+    assert not outside, f"imports outside the standard library: {outside}"

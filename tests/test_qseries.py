@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import vvmf3.mde
 import vvmf3.qseries
-from vvmf3.mde import build_mde, derived_basis, minimal_vector, ode_residual
-from vvmf3.qseries import QExpansion, _convolve, _row_product, eisenstein, modular_derivative
+from vvmf3.mde import build_mde, indicial_phi, phi_j
+from vvmf3.qseries import QExpansion, _row_product, eisenstein, modular_derivative
 from vvmf3.reps import validate_triple
 from conftest import _smulser, oracle_eisenstein, reference_modular_derivative
 
@@ -35,8 +34,10 @@ def test_constructor_validates_exponent_range():
         lambda: QExpansion(0, [1, 0.1]),
         lambda: QExpansion(0, [1, 2]).scale(0.1),
         lambda: modular_derivative(QExpansion(0, [1, 2]), 0.1),
+        lambda: indicial_phi(build_mde(validate_triple(1, 2, 4, 7), 1), 0.1),
+        lambda: phi_j(build_mde(validate_triple(1, 2, 4, 7), 1), 1, 0.1),
     ],
-    ids=["exponent", "coefficient", "scale", "derivative-weight"],
+    ids=["exponent", "coefficient", "scale", "derivative-weight", "indicial_phi", "phi_j"],
 )
 def test_floats_are_rejected(build):
     # 0.1 would enter as 3602879701896397/36028797018963968, not 1/10.
@@ -273,31 +274,6 @@ def row_operands(draw):
 @example(([-(2**40)] * 80, [-(2**2000)] * 80))
 @example(([1] + [0] * 79, [2**2000 - 1, -(2**2000)] * 40))
 @settings(max_examples=150, deadline=None)
-def test_row_product_matches_kronecker_convolution(operands):
+def test_row_product_matches_cauchy_oracle(operands):
     a, b = operands
-    assert _row_product(a, b) == _convolve(a, b)
-
-
-def test_narrow_products_take_no_kronecker_product(monkeypatch):
-    # The residuals, the derived basis and the modular derivative multiply a
-    # narrow integer array by a wide series; only a product of two series
-    # packs both operands into one Kronecker product.
-    sizes = []
-
-    def spy(a, b):
-        sizes.append(len(a))
-        return _convolve(a, b)
-
-    for module in (vvmf3.qseries, vvmf3.mde):
-        if hasattr(module, "_convolve"):
-            monkeypatch.setattr(module, "_convolve", spy)
-    sys = build_mde(validate_triple(1, 3, 7, 11), 60)
-    mv = minimal_vector(sys)
-    residuals = [ode_residual(sys, f) for f in mv.components]
-    basis = derived_basis(sys, mv)
-    modular_derivative(mv.components[0], 5)
-    assert sizes == []
-    assert all(not any(r.coeffs) for r in residuals)
-    assert basis.determinant == basis.vandermonde
-    mv.components[0] * basis.first[1]
-    assert sizes == [61]
+    assert _row_product(a, b) == _smulser(a, b)
