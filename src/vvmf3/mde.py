@@ -21,12 +21,15 @@ alpha4 = omega/N^2 - (3 k0^2 + 12 k0 + 8)/144 and the x6 expression above).
 
 The Frobenius recursion runs on scaled integers: 6N^3 * phi_m(A/N + j) and
 6N * n * lambda(n) are integers (an integrality property of the G_j proved via
-the theory of modular forms mod small primes).  component_series carries the
-coefficients over the running lcm L of their reduced denominators, as the
-integers a(j) * L, so the numbers it adds stay about as large as the reduced
-coefficients and each coefficient takes one gcd of that size.  ode_residual
-evaluates the same row sums over a whole series, one dot product per
-coefficient.  Both read their rows of the quadratic P_m(j) from _rows.
+the theory of modular forms mod small primes).  component_series carries each
+coefficient as an integer a(j) * L, over an lcm L of reduced denominators:
+the latest over the running lcm, the earlier ones in closed blocks, each over
+the lcm current when it closed.  So an integer stays about as wide as its own
+coefficient, not as the last one, and a row's sum is a Horner sum over the
+blocks that multiplies in the ratios of successive lcms.  Each coefficient
+takes one gcd of the lcm's size.  ode_residual evaluates the same row sums
+over a whole series, one dot product per coefficient.  Both read their rows
+of the quadratic P_m(j) from _rows.
 
 So ode_residual is no independent check of _rows: a fault there that keeps
 each row homogeneous in (v0, d), such as a wrong factor on a difference,
@@ -272,25 +275,40 @@ def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> 
     denominators of a(0..n-1).  With P_m(j) = 6N^3 phi_m(lead/N + j) and
     c_n = 6N n lambda(n), a(n) = -S / (L c_n) for S = sum_{j<n} b_j P_{n-j}(j).
     At each prime p the lcm's valuation grows by max(0, nu_p(c_n) - nu_p(S)),
-    so with g = gcd(S, c_n) the lcm grows by r = c_n / g, every b_j is
-    multiplied by r, and b_n = -S / g.  Reducing b_n / L is the only gcd on
-    numbers of L's size.
+    so with g = gcd(S, c_n) the lcm grows by r = c_n / g, every b_j grows by
+    r, and b_n = -S / g.  Reducing b_n / L is the only gcd on numbers of
+    L's size.
 
-    The b_j of the earlier j are kept as rho * settled[j]: rho takes each r
-    and is multiplied in once the later b_j, which are rescaled every row,
-    outnumber the square root of the earlier ones.  The row of P_{n-j}(j)
-    comes from _rows with unit scales, v_j = lead + j N and d = N.
+    Only the latest b_j, in recent, are multiplied by r.  Once recent holds
+    more than 4 sqrt(n + 1) of them it closes: it is kept as it stands, over
+    the L of that row, with the ratio of that L to the L of the previous
+    close, and is never rescaled again.  So b_j stays about as wide as the
+    coefficients of its own block, not as a(n), and since the coefficients
+    widen linearly in n the dot products take about half the work of b_j
+    all over the current L.  A row's sum is a Horner sum over the closed
+    blocks, acc = acc * ratio + dot, which carries acc from one close's L to
+    the next, then S = acc * rho + dot of recent, with rho = L / (L at the
+    last close).  The row of P_{n-j}(j) comes from _rows with unit scales,
+    v_j = lead + j N and d = N.
     """
     T = sys.order if order is None else order
+    if T < 0:
+        raise ValueError(f"order must be >= 0, got {T}")
     if T > sys.order:
         raise ValueError(f"system built to order {sys.order}, requested {T}")
     n_level = sys.triple.N
-    settled, rho, recent, L = [1], 1, [], 1
+    blocks, rho, recent, L = [], 1, [1], 1
     coeffs = [Fraction(1)]
     rows = _rows(sys, (1, 1, 1), lead, n_level, 1, T)
     for cn, p in zip(_recursion_c(sys.triple, lead, T), rows):
-        s = rho * sum(map(mul, settled, reversed(p)))
-        s += sum(map(mul, recent, reversed(p[: len(recent)])))
+        # One pass over P_n(0), ..., P_1(n-1): map stops at its first,
+        # shorter argument before it draws from the row, so each block
+        # takes exactly its own entries and recent the rest.
+        row = reversed(p)
+        acc = 0
+        for ratio, block in blocks:
+            acc = acc * ratio + sum(map(mul, block, row))
+        s = acc * rho + sum(map(mul, recent, row))
         g = gcd(s, cn)
         if g != cn:
             r = cn // g
@@ -299,8 +317,8 @@ def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> 
             recent = list(map(r.__mul__, recent))
         recent.append(-s // g)
         coeffs.append(Fraction(recent[-1], L))
-        if len(recent) ** 2 > len(settled):
-            settled = list(map(rho.__mul__, settled)) + recent
+        if len(recent) ** 2 > 16 * len(coeffs):
+            blocks.append((rho, recent))
             rho, recent = 1, []
     return QExpansion(Fraction(lead, n_level), coeffs)
 

@@ -134,6 +134,32 @@ def test_component_series_matches_unreduced_recursion():
             assert list(component_series(sys, lead).coeffs) == expected, (t, lead)
 
 
+def test_component_series_matches_unreduced_recursion_at_random_orders():
+    # component_series closes a block of b_j at the row n where the open one
+    # outgrows 4 sqrt(n + 1): at n = 16, 43, 79 and 124 below 160, for every
+    # series.  Random triples with N <= 60 at random orders in 0..160 end
+    # their series before, at, just after and between those closes, and the
+    # rows after a close whose gcd grows the lcm come from varied triples;
+    # the orders 0, 1 and 2 end before any close.
+    rng = random.Random(SEED)
+    triples = sample_triples(30, 60, seed=SEED + 1)
+    orders = [0, 1, 2] + [rng.randrange(161) for _ in triples[3:]]
+    for t, order in zip(triples, orders):
+        sys = build_mde(t, order)
+        for lead in (t.A, t.B, t.C):
+            anum, c = reference_unreduced(sys, lead, order)
+            expected = list(map(Fraction, anum, accumulate(c, mul)))
+            assert list(component_series(sys, lead).coeffs) == expected, (t, lead, order)
+
+
+def test_component_series_prefixes_agree():
+    sys = build_mde(UNBOUNDED, 120)
+    for lead in (UNBOUNDED.A, UNBOUNDED.B, UNBOUNDED.C):
+        full = component_series(sys, lead)
+        for order in range(121):
+            assert component_series(sys, lead, order) == full.truncate(order), (lead, order)
+
+
 def test_minimal_vector_layout():
     sys = build_mde(ANCHOR, 8)
     mv = minimal_vector(sys)
@@ -287,6 +313,8 @@ def test_build_mde_validation():
     sys = build_mde(ANCHOR, 5)
     with pytest.raises(ValueError):
         component_series(sys, 1, 6)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        component_series(sys, 1, -1)
     with pytest.raises(ValueError):
         component_series(sys, 5)
 
