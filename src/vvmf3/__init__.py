@@ -7,102 +7,13 @@ coefficients, and classifies the representation data (congruence small levels,
 level-7 primitives, induced families, unbounded-denominator primes).
 """
 
-from .arith import (
-    INFINITY,
-    ValuationValue,
-    bernoulli,
-    int_valuation,
-    is_prime,
-    prime_factors,
-    rational_str,
-    sigma_k,
-    valuation_p,
-)
-from .mde import (
-    DerivedBasis,
-    MDESystem,
-    MinimalVector,
-    build_mde,
-    component_series,
-    derived_basis,
-    indicial_phi,
-    minimal_vector,
-    ode_residual,
-    phi_j,
-)
-from .qseries import (
-    QExpansion,
-    eisenstein,
-    modular_derivative,
-)
-from .reps import (
-    Classification,
-    FamilyResult,
-    InvalidTripleError,
-    RepTriple,
-    classify_triple,
-    enumerate_level,
-    gamma02_family,
-    gamma3_family,
-    ubd_criterion,
-    validate_triple,
-)
-from .valuation import (
-    DenominatorProfile,
-    FormulaInapplicable,
-    PrimeCase,
-    PrimeStats,
-    ValuationReport,
-    classify_prime,
-    denominator_profile,
-    predicted_valuation,
-    verify_formula,
-    z_n_value,
-)
+from . import arith, mde, qseries, reps, valuation
+from .arith import *
+from .mde import *
+from .qseries import *
+from .reps import *
+from .valuation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INFINITY",
-    "Classification",
-    "DenominatorProfile",
-    "DerivedBasis",
-    "FamilyResult",
-    "FormulaInapplicable",
-    "InvalidTripleError",
-    "MDESystem",
-    "MinimalVector",
-    "PrimeCase",
-    "PrimeStats",
-    "QExpansion",
-    "RepTriple",
-    "ValuationReport",
-    "ValuationValue",
-    "bernoulli",
-    "build_mde",
-    "classify_prime",
-    "classify_triple",
-    "component_series",
-    "denominator_profile",
-    "derived_basis",
-    "eisenstein",
-    "enumerate_level",
-    "gamma02_family",
-    "gamma3_family",
-    "indicial_phi",
-    "int_valuation",
-    "is_prime",
-    "minimal_vector",
-    "modular_derivative",
-    "ode_residual",
-    "phi_j",
-    "predicted_valuation",
-    "prime_factors",
-    "rational_str",
-    "sigma_k",
-    "ubd_criterion",
-    "validate_triple",
-    "valuation_p",
-    "verify_formula",
-    "z_n_value",
-]
+__all__ = sorted({name for m in (arith, mde, qseries, reps, valuation) for name in m.__all__})

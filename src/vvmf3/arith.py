@@ -23,7 +23,6 @@ RationalLike = Union[Fraction, int]
 
 __all__ = [
     "INFINITY",
-    "RationalLike",
     "ValuationValue",
     "bernoulli",
     "int_valuation",

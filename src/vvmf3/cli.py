@@ -50,7 +50,7 @@ from .reps import (
     gamma3_family,
     validate_triple,
 )
-from .valuation import verify_formula
+from .valuation import DEFAULT_N_MAX, verify_formula
 
 __all__ = ["EXIT_INVALID", "EXIT_MISMATCH", "EXIT_OK", "FORMAT_ENV_VAR", "main", "run"]
 
@@ -344,7 +344,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("valuations", parents=[triple],
                        help="observed vs predicted p-adic valuations")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--terms", type=int, default=100)
+    p.add_argument("--terms", type=int, default=DEFAULT_N_MAX)
     p.set_defaults(handler=_cmd_valuations)
 
     p = sub.add_parser("classify", parents=[triple],

@@ -20,8 +20,9 @@ x6 (matching the indicial cubic coefficient by coefficient forces
 alpha4 = omega/N^2 - (3 k0^2 + 12 k0 + 8)/144 and the x6 expression above).
 
 The Frobenius recursion runs on scaled integers: 6N^3 * phi_m(A/N + j) and
-6N * n * lambda(n) are integers (an integrality property of the G_j proved via
-the theory of modular forms mod small primes).  component_series carries each
+6N * n * lambda(n) are integers.  The first rests on the integrality of the
+arrays h_j, which build_mde checks coefficient by coefficient with _exact_div,
+raising ArithmeticError should one fail.  component_series carries each
 coefficient as an integer a(j) * L, over an lcm L of reduced denominators:
 the latest over the running lcm, the earlier ones in closed blocks, each over
 the lcm current when it closed.  So an integer stays about as wide as its own
@@ -214,25 +215,25 @@ def _recursion_c(t: RepTriple, lead: int, T: int) -> list[int]:
     return c
 
 
-def _frobenius(sys: MDESystem, lead: int, c: list[int], modulus: int, window: int) -> list[int]:
+def _frobenius(sys: MDESystem, lead: int, T: int, modulus: int, window: int) -> list[int]:
     """Residues mod the modulus of the unreduced numerators anum[0..T].
 
-    With c = [c_1, ..., c_T], c_k = 6N k lambda(k), from _recursion_c, the
-    coefficients are a(n) = anum[n] / (c_1 ... c_n), and
+    With c_k = 6N k lambda(k) from _recursion_c, the coefficients are
+    a(n) = anum[n] / (c_1 ... c_n), and
     anum[n] = -sum_{j<n} anum[j] (6N^3 phi_{n-j}(lead/N + j)) c_{j+1} ... c_{n-1},
     evaluated as a Horner recurrence over j >= n - window only, so the system
     need only reach order window.  Each row is reduced mod the modulus once.
     The residues are exact when every dropped term is 0 mod the modulus: the
-    term of j carries n - 1 - j factors c_k (see verify_formula).
+    term of j carries n - 1 - j factors c_k (see verify_formula).  At window
+    1 each c_k multiplies only s = 0, so the c_k are built only past it.
     """
-    T = len(c)
     if min(window, T) > sys.order:
         raise ValueError(f"system built to order {sys.order}, requested {min(window, T)}")
     n_level = sys.triple.N
     h0, h1, h2 = sys.h0, sys.h1, sys.h2
     u = [lead + j * n_level for j in range(T + 1)]
     uu = [v * (v - n_level) for v in u]
-    c = [1] + c
+    c = [1] + _recursion_c(sys.triple, lead, T) if window > 1 else [0] * (T + 1)
     anum = [1]
     for n in range(1, T + 1):
         s = 0

@@ -29,7 +29,7 @@ from itertools import accumulate
 from typing import Iterable, Optional
 
 from .arith import INFINITY, ValuationValue, int_valuation, is_prime, prime_factors
-from .mde import _frobenius, _recursion_c, build_mde, component_series
+from .mde import _frobenius, build_mde, component_series
 from .qseries import QExpansion
 from .reps import RepTriple, _case_table, ubd_criterion
 
@@ -278,8 +278,7 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
         shift = delta + nu_6n
         k = n_max * shift + 1
         w = min(n_max, -(-k // nu_6n))
-        c = _recursion_c(t, lead, n_max) if w > 1 else [0] * n_max  # window 1 reads no c_k
-        residues = _frobenius(build_mde(t, w), lead, c, p**k, w)
+        residues = _frobenius(build_mde(t, w), lead, n_max, p**k, w)
         powers = (p ** (n * shift) for n in range(n_max + 1))
         if all(a % q == 0 and a // q % p for a, q in zip(residues, powers)):
             observed = predicted
@@ -319,15 +318,6 @@ class PrimeStats:
     last_new_min_index: int
     strictly_decreasing: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "min_valuation": self.min_valuation,
-            "new_min_count": self.new_min_count,
-            "last_new_min_index": self.last_new_min_index,
-            "strictly_decreasing": self.strictly_decreasing,
-        }
-
 
 @dataclass(frozen=True)
 class DenominatorProfile:
@@ -342,13 +332,6 @@ class DenominatorProfile:
     window: int
     stats: tuple[PrimeStats, ...]
     verdict: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "stats": [s.to_json_dict() for s in self.stats],
-            "verdict": self.verdict,
-        }
 
 
 def _prime_stats(p: int, pairs: Iterable[tuple[int, ValuationValue]], T: int) -> PrimeStats:

@@ -16,6 +16,8 @@ operations with E2 f as a schoolbook product, where the package takes one
 dot product per coefficient, and reference_ode_residual takes three
 schoolbook products with the h arrays, where the package takes one dot
 product per coefficient against a row advanced by finite differences.
+euler_power gives the integer series prod (1 - q^n)^m of eta^m, for the
+twist identity, whose two sides come from two different equations.
 """
 
 from __future__ import annotations
@@ -67,6 +69,16 @@ def _sadd(*fs: list[Fraction]) -> list[Fraction]:
 def _smulser(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
     T = min(len(f), len(g))
     return [sum(f[j] * g[n - j] for j in range(n + 1)) for n in range(T)]
+
+
+def euler_power(m: int, T: int) -> list[int]:
+    """Coefficients of q^0..q^T in prod_{n>=1} (1 - q^n)^m, m >= 0: eta^m
+    without its q^(m/24), one schoolbook product by (1 - q^n) at a time."""
+    f = [1] + [0] * T
+    for n in range(1, T + 1):
+        for _ in range(m):
+            f = f[:n] + [f[i] - f[i - n] for i in range(n, T + 1)]
+    return f
 
 
 def oracle_g_series(t: RepTriple, T: int) -> tuple[list[Fraction], ...]:

@@ -3,6 +3,7 @@ import subprocess
 import random
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from operator import mul
 from pathlib import Path
 from sys import executable
@@ -23,7 +24,10 @@ from vvmf3.mde import (
 )
 from vvmf3.qseries import QExpansion
 from vvmf3.reps import enumerate_level, validate_triple
+from vvmf3.valuation import denominator_profile
 from conftest import (
+    _smulser,
+    euler_power,
     g_series,
     oracle_coefficients,
     oracle_g_series,
@@ -158,6 +162,44 @@ def test_component_series_prefixes_agree():
         full = component_series(sys, lead)
         for order in range(121):
             assert component_series(sys, lead, order) == full.truncate(order), (lead, order)
+
+
+# Triples with N <= 60 that some k >= 1 twists without wrapping: C/N + k/12 < 1.
+_TWISTABLE = [t for N in range(1, 61) for t in enumerate_level(N) if 12 * t.C < 11 * t.N]
+
+
+@st.composite
+def twist_case(draw):
+    t = draw(st.sampled_from(_TWISTABLE))
+    return t, draw(st.integers(1, (12 * (t.N - t.C) - 1) // t.N))
+
+
+@given(twist_case())
+@example((UNBOUNDED, 1))
+@example((ANCHOR, 4))
+@settings(max_examples=150, deadline=None)
+def test_eta_twist_multiplies_components_by_euler_power(case):
+    # eta^(2k) = q^(k/12) prod (1 - q^n)^(2k) is a unit of Z[[q]], and times
+    # the minimal-weight form of t it is that of the twist t', exponents
+    # A/N + k/12, B/N + k/12, C/N + k/12, while none of them reaches 1.  The
+    # two sides solve different equations: another level, h arrays and lead.
+    # A unit of Z_(p)[[q]] keeps every running minimum of the valuations, so
+    # the denominator profiles agree as well.  t' is admissible: its level is
+    # the lcm of the exponents' denominators, so the gcd is 1, and
+    # 4 sigma'/N' = 4 sigma/N + k.
+    t, k = case
+    shifted = [Fraction(a, t.N) + Fraction(k, 12) for a in (t.A, t.B, t.C)]
+    n_twist = lcm(*(e.denominator for e in shifted))
+    leads = [int(e * n_twist) for e in shifted]
+    twisted = validate_triple(*leads, n_twist)
+    unit = euler_power(2 * k, 30)
+    sys, sys_twisted = build_mde(t, 30), build_mde(twisted, 30)
+    for lead, lead_twisted in zip((t.A, t.B, t.C), leads):
+        comp = component_series(sys, lead)
+        comp_twisted = component_series(sys_twisted, lead_twisted)
+        assert comp_twisted.exponent == comp.exponent + Fraction(k, 12)
+        assert list(comp_twisted.coeffs) == _smulser(unit, list(comp.coeffs)), (twisted, lead)
+        assert denominator_profile(comp_twisted) == denominator_profile(comp), (twisted, lead)
 
 
 def test_minimal_vector_layout():

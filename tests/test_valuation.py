@@ -449,9 +449,9 @@ def test_verify_formula_mismatch_verdict(monkeypatch, doctor, verdict) -> None:
     doctored = QExpansion(real.exponent, doctor(list(real.coeffs)))
     calls = []
 
-    def missing_residues(sys, lead, c, modulus, window):
+    def missing_residues(sys, lead, T, modulus, window):
         calls.append("_frobenius")
-        return [0] * (len(c) + 1)
+        return [0] * (T + 1)
 
     def doctored_series(sys, lead, order=None):
         calls.append("component_series")
@@ -483,9 +483,9 @@ def test_verify_formula_residue_walk_rejects_doctored_residues(monkeypatch, doct
     real_frobenius = vvmf3.valuation._frobenius
     calls = []
 
-    def doctored_residues(sys, lead, c, modulus, window):
+    def doctored_residues(sys, lead, T, modulus, window):
         calls.append("_frobenius")
-        residues = real_frobenius(sys, lead, c, modulus, window)
+        residues = real_frobenius(sys, lead, T, modulus, window)
         assert int_valuation(residues[30], 3) == 60
         residues[30] = doctor(residues[30]) % modulus
         return residues
@@ -545,7 +545,7 @@ def test_verify_formula_modular_path_matches_exact_path() -> None:
             assert report.verdict == "formula-verified"
             k = T * shift + 1
             w = min(T, -(-k // int_valuation(6 * t.N, p)))
-            residues = _frobenius(build_mde(t, w), report.lead, c[1:], p**k, w)
+            residues = _frobenius(build_mde(t, w), report.lead, T, p**k, w)
             assert residues == [a % p**k for a in anum], (t, p)
             windows.add((report.case.case_id, shift, w))
     assert {case_id for case_id, shift, w in windows if shift > 0 and w > 1} == {3, 5, 6, 7, 8}
@@ -583,7 +583,7 @@ def test_verify_formula_builds_c_only_past_window_one(monkeypatch) -> None:
         built.append(T)
         return _recursion_c(t, lead, T)
 
-    monkeypatch.setattr(vvmf3.valuation, "_recursion_c", spy)
+    monkeypatch.setattr(vvmf3.mde, "_recursion_c", spy)
     assert verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=100).verdict \
         == "formula-verified"
     assert built == []
