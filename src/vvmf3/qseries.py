@@ -145,7 +145,7 @@ class QExpansion:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QExpansion":
-        series = cls(Fraction(data["exponent"]), [Fraction(c) for c in data["coeffs"]])
+        series = cls(data["exponent"], data["coeffs"])  # a JSON float raises TypeError
         if series.order != data["order"]:
             raise ValueError(
                 f"order field {data['order']} disagrees with "

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from typing import Iterable, Optional
 
 from .arith import INFINITY, ValuationValue, int_valuation, is_prime, prime_factors
@@ -364,26 +365,25 @@ def denominator_profile(f: QExpansion) -> DenominatorProfile:
     """Profile the denominators of a series through its order; profile
     f.truncate(T) for a shorter window.
 
-    Finding the primes divides each denominator d_n by every prime found so
-    far; the exponent e of p read there is the valuation -e at n.  Any other
-    valuation is >= 0 (INFINITY for zero), so it can be a new minimum or
-    continue a strictly decreasing run only while the running minimum is > 0:
-    numerator valuations are taken only before p first divides a denominator,
-    and only until one is <= 0 (just nu_p(1) = 0 when a(0) = 1).
+    With L_n the lcm of the reduced denominators d_0..d_n and r_n =
+    L_n / L_(n-1) = d_n / gcd(d_n, L_(n-1)): once p has divided some d_j, the
+    running minimum of nu_p(a(j)) over j <= n is -nu_p(L_n), so n is a new
+    minimum at p exactly when p | r_n, lower by nu_p(r_n); only the r_n are
+    factored.  Earlier valuations are >= 0 (INFINITY for zero) and can move
+    the statistics only while the running minimum is > 0: numerator
+    valuations are read there, until one is <= 0 (nu_p(1) = 0 when a(0) = 1).
     """
     T = f.order
     fracs = [c.as_integer_ratio() for c in f.coeffs]
 
     found: dict[int, list[tuple[int, ValuationValue]]] = {}
+    lcm = 1
     for n, (_, d) in enumerate(fracs):
-        for p, pairs in found.items():
-            v = 0
-            while d % p == 0:
-                d, v = d // p, v - 1
-            if v:
-                pairs.append((n, v))
-        if d > 1:
-            found.update((p, [(n, -e)]) for p, e in prime_factors(d))
+        r = d // gcd(d, lcm)
+        lcm *= r
+        for p, e in prime_factors(r):
+            pairs = found.setdefault(p, [])
+            pairs.append((n, (pairs[-1][1] if pairs else 0) - e))
 
     stats = []
     for p in sorted(found):

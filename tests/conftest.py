@@ -6,18 +6,23 @@ The oracle functions rebuild everything from first principles with Fractions
 dividing by the full indicial cubic) and share no code with the package, so
 agreement is meaningful evidence.  reference_unreduced is the plain integer
 Horner recursion over the package's h arrays, a second algorithm beside the
-running common denominator of component_series.  Three more second
+running common denominator of component_series.  Four more second
 algorithms: reference_law takes nu_p of every c_k of the recursion, where the
 package counts the terms of arithmetic progressions;
-reference_denominator_profile takes nu_p of every coefficient for every
-prime, where the package takes only the valuations that can move the
-statistics, reference_modular_derivative builds D_k f from Fraction series
-operations with E2 f as a schoolbook product, where the package takes one
-dot product per coefficient, and reference_ode_residual takes three
+reference_denominator_profile finds its primes by dividing each denominator
+by every prime found so far, where the package factors only the ratios of
+the running lcm of the denominators, and it takes nu_p of every coefficient
+for every prime, where the package takes only the valuations that can move
+the statistics; reference_modular_derivative builds D_k f from Fraction
+series operations with E2 f as a schoolbook product, where the package takes
+one dot product per coefficient; and reference_ode_residual takes three
 schoolbook products with the h arrays, where the package takes one dot
 product per coefficient against a row advanced by finite differences.
 euler_power gives the integer series prod (1 - q^n)^m of eta^m, for the
 twist identity, whose two sides come from two different equations.
+hypergeometric_valuations gives nu_p of the coefficients of the 3F2 behind
+each component, whose running minimum at a prime p not dividing 6N checks
+the profiles without reading the series at all.
 """
 
 from __future__ import annotations
@@ -214,6 +219,37 @@ def reference_denominator_profile(f: QExpansion) -> DenominatorProfile:
     else:
         verdict = "bounded-in-window"
     return DenominatorProfile(window=T, stats=stats, verdict=verdict)
+
+
+def hypergeometric_valuations(t: RepTriple, lead: int, p: int, T: int) -> list | None:
+    """[nu_p(F_m) for m = 0..T], F_m = prod (alpha_i)_m / (prod (beta_j)_m m!)
+    the coefficients of the 3F2 in Franc and Mason's form (Ramanujan J. 41,
+    2016) of the component of exponent lead/N, for a prime p not dividing 6N;
+    None when a numerator parameter is a nonpositive integer, so that the
+    3F2 is a polynomial.
+
+    Over d = 12N the numerator parameters are (a0 + 4Ni) / d, i = 0, 1, 2,
+    with a0 = 12 lead - k0 N, and the denominator parameters are
+    (12N + 12(lead - b)) / d for the other two exponents b/N.  Since p does
+    not divide d, nu_p(F_m) adds nu_p(a + dk) over k < m for each numerator
+    a, and subtracts the same for each denominator and nu_p(k + 1).  The
+    factors that carry F_m into the component are units of Z_p[[q]] and a
+    substitution invertible over Z_p, so the running minimum of this column
+    is that of nu_p(a(n)), index by index.
+    """
+    N, d = t.N, 12 * t.N
+    a0 = 12 * lead - t.k0 * N
+    nums = [a0, a0 + 4 * N, a0 + 8 * N]
+    if any(a <= 0 and a % d == 0 for a in nums):
+        return None
+    dens = [12 * N + 12 * (lead - b) for b in (t.A, t.B, t.C) if b != lead]
+    steps = (
+        sum(int_valuation(a + d * k, p) for a in nums)
+        - sum(int_valuation(b + d * k, p) for b in dens)
+        - int_valuation(k + 1, p)
+        for k in range(T)
+    )
+    return list(accumulate(steps, initial=0))
 
 
 def reference_modular_derivative(f: QExpansion, k) -> QExpansion:

@@ -149,6 +149,13 @@ def test_json_round_trip():
     assert QExpansion.from_json_dict(json.loads(json.dumps(data))) == f
     with pytest.raises(ValueError):
         QExpansion.from_json_dict({"exponent": "0", "coeffs": ["1"], "order": 5})
+    # JSON numbers: integers are exact, floats are rejected as by the constructor.
+    assert QExpansion.from_json_dict(json.loads('{"exponent": 0, "coeffs": [1, -3], "order": 1}')) \
+        == QExpansion(0, [1, -3])
+    for text in ('{"exponent": "0", "coeffs": ["1", 0.1], "order": 1}',
+                 '{"exponent": 0.5, "coeffs": ["1"], "order": 0}'):
+        with pytest.raises(TypeError):
+            QExpansion.from_json_dict(json.loads(text))
 
 
 @st.composite

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from conftest import (
+    hypergeometric_valuations,
     reference_denominator_profile,
     reference_law,
     reference_unreduced,
     sample_triples,
 )
-from vvmf3.arith import INFINITY, int_valuation, prime_factors, valuation_p
+from vvmf3.arith import INFINITY, int_valuation, is_prime, prime_factors, valuation_p
 from vvmf3.mde import _frobenius, _recursion_c, build_mde, component_series, minimal_vector, phi_j
 import vvmf3.mde
 import vvmf3.valuation
@@ -431,6 +432,35 @@ def test_denominator_profile_matches_dense_reference_on_components() -> None:
             assert denominator_profile(comp) == reference_denominator_profile(comp)
 
 
+def test_denominator_profile_matches_hypergeometric_minima() -> None:
+    # At the first ten primes p >= 5 not dividing N, the running minimum of
+    # nu_p(a(n)) is that of the 3F2 column, which reads no series: where the
+    # column goes negative the profile has its minimum, its number of new
+    # minima and the index of the last, and elsewhere no denominator at p.
+    T = 60
+    pairs = skipped = negative = 0
+    for t in (t for N in range(1, 13) for t in enumerate_level(N)):
+        primes = [p for p in range(5, 100) if is_prime(p) and t.N % p][:10]
+        for lead, comp in zip((t.A, t.B, t.C), minimal_vector(build_mde(t, T)).components):
+            stats = {s.prime: s for s in denominator_profile(comp).stats}
+            for p in primes:
+                column = hypergeometric_valuations(t, lead, p, T)
+                if column is None:
+                    skipped += 1
+                    continue
+                pairs += 1
+                running = list(accumulate(column, min))
+                new_mins = [0] + [n for n in range(1, T + 1) if running[n] < running[n - 1]]
+                if running[-1] >= 0:
+                    assert p not in stats, (t, lead, p)
+                    continue
+                negative += 1
+                s = stats[p]
+                assert (s.min_valuation, s.new_min_count, s.last_new_min_index) \
+                    == (running[-1], len(new_mins), new_mins[-1]), (t, lead, p)
+    assert (pairs, skipped, negative) == (4240, 350, 1430)
+
+
 @pytest.mark.parametrize(
     "doctor, verdict",
     [
@@ -551,7 +581,17 @@ def test_verify_formula_modular_path_matches_exact_path() -> None:
     assert {case_id for case_id, shift, w in windows if shift > 0 and w > 1} == {3, 5, 6, 7, 8}
 
 
-def test_verify_formula_stays_on_modular_path(monkeypatch) -> None:
+@pytest.mark.parametrize(
+    "tup, p, n_max",
+    [
+        ((1, 3, 7, 11), 11, 1000),
+        # K = 1 and nu_11(6N) = 2: the window ceil(K / 2) = 1 reads the
+        # diagonal term, where floor(K / 2) = 0 would read none.
+        ((0, 1, 120, 121), 11, 100),
+    ],
+    ids=["level-11", "level-121"],
+)
+def test_verify_formula_stays_on_modular_path(monkeypatch, tup, p, n_max) -> None:
     calls = []
 
     def spy(*args, **kwargs):
@@ -559,7 +599,7 @@ def test_verify_formula_stays_on_modular_path(monkeypatch) -> None:
         return component_series(*args, **kwargs)
 
     monkeypatch.setattr(vvmf3.valuation, "component_series", spy)
-    report = verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=1000)
+    report = verify_formula(validate_triple(*tup), p, n_max=n_max)
     assert report.verdict == "formula-verified"
     assert calls == []
 

@@ -10,9 +10,10 @@ this one interpreter, timed with perf_counter; the Eisenstein cache is
 emptied before each order so every order starts cold.  The script checks
 that the residuals vanish and that the determinant equals the Vandermonde
 product, and prints one JSON object: per order the seconds of each stage,
-their total, the bit length of the largest coefficient, and a sha256 of the
-residuals, DF0, D^2F0, matrix and determinant, so two checkouts can be shown
-to compute the same numbers.
+their total, the bit length of the largest coefficient, a sha256 of the
+residuals, DF0, D^2F0, matrix and determinant, and a sha256 of the three
+denominator profiles (window, verdict and every PrimeStats field), so two
+checkouts can be shown to compute the same numbers.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def certify(t: "vvmf3.RepTriple", order: int) -> dict:
     residuals = timed("ode_residual_x3",
                       lambda: [vvmf3.ode_residual(sys_, f) for f in mv.components])
     basis = timed("derived_basis", lambda: vvmf3.derived_basis(sys_, mv))
-    timed("denominator_profile_x3",
-          lambda: [vvmf3.denominator_profile(f) for f in mv.components])
+    profiles = timed("denominator_profile_x3",
+                     lambda: [vvmf3.denominator_profile(f) for f in mv.components])
     if any(c != 0 for r in residuals for c in r.coeffs):
         raise SystemExit(f"nonzero residual for {t} at order {order}")
     if basis.determinant != basis.vandermonde:
@@ -58,6 +59,12 @@ def certify(t: "vvmf3.RepTriple", order: int) -> dict:
     for series in (*residuals, *basis.first, *basis.second):
         digest.update(json.dumps(series.to_json_dict()).encode())
     digest.update(repr((basis.matrix, basis.determinant)).encode())
+    profiles_json = json.dumps([
+        [p.window, p.verdict,
+         [[s.prime, s.min_valuation, s.new_min_count, s.last_new_min_index,
+           s.strictly_decreasing] for s in p.stats]]
+        for p in profiles
+    ])
     max_bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
                    for f in mv.components for c in f.coeffs)
     return {
@@ -65,6 +72,7 @@ def certify(t: "vvmf3.RepTriple", order: int) -> dict:
         "total_s": round(sum(times.values()), 4),
         "max_bits": max_bits,
         "outputs_sha256": digest.hexdigest(),
+        "profiles_sha256": hashlib.sha256(profiles_json.encode()).hexdigest(),
     }
 
 
