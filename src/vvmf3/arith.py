@@ -3,13 +3,16 @@
 Everything downstream computes with ``fractions.Fraction``: arbitrary
 precision, eagerly reduced, denominator always positive.  This module adds
 p-adic valuations with a proper infinity for zero, Bernoulli numbers via the
-classical recurrence, divisor power sums, and enough primality machinery
-(Miller-Rabin, exact below 3.3e24, plus Pollard rho) to factor the integers that
-show up in coefficient denominators.
+classical recurrence, divisor power sums, and the factoring of the integers
+that show up in coefficient denominators: trial division by the primes below
+10^4 up to the square root of what is left, whose leftover is then prime, and
+Miller-Rabin (exact below 3.3e24) with Pollard rho only for a cofactor whose
+prime factors all exceed 10^4, so no integer below 10^8 relies on Miller-Rabin.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Union
@@ -119,32 +122,66 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho factorization failed for {n}")
 
 
+# Trial division runs over every prime below _TABLE_BOUND, sieved once at import.
+_TABLE_BOUND = 10_000
+
+
+def _primes_below(bound: int) -> list[int]:
+    """The primes below bound, by a bytearray sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
+    return list(itertools.compress(range(bound), sieve))
+
+
+_SMALL_PRIMES = _primes_below(_TABLE_BOUND)
+
+
 def prime_factors(n: int) -> list[tuple[int, int]]:
     """Prime factorization as sorted (prime, exponent) pairs; 1 -> [].
+
+    Trial division by the primes below 10^4 stops at the first p with
+    p * p > m, m what is left; that m, if > 1, is prime.  Only when the table
+    runs out with m >= 10^8, every prime factor of m above 10^4, do
+    Miller-Rabin and Pollard rho split m, so no n below 10^8 relies on them.
 
     >>> prime_factors(5544)
     [(2, 3), (3, 2), (7, 1), (11, 1)]
     """
     if n < 1:
         raise ValueError(f"prime_factors needs n >= 1, got {n}")
-    out: dict[int, int] = {}
+    out: list[tuple[int, int]] = []
     m = n
-    d = 2
-    while d * d <= m and d < 10_000:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    stack = [m] if m > 1 else []
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
+        if m % p == 0:
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+    # A break left m < p * p, so m is 1 or prime; so is an m below the square
+    # of the bound, since the table has run out and every prime factor of m
+    # exceeds the bound.
+    if m < _TABLE_BOUND * _TABLE_BOUND:
+        if m > 1:
+            out.append((m, 1))
+        return out
+    large: dict[int, int] = {}
+    stack = [m]
     while stack:
         v = stack.pop()
         if is_prime(v):
-            out[v] = out.get(v, 0) + 1
+            large[v] = large.get(v, 0) + 1
             continue
         f = _pollard_rho(v)
         stack.append(f)
         stack.append(v // f)
-    return sorted(out.items())
+    return out + sorted(large.items())
 
 
 def int_valuation(n: int, p: int) -> ValuationValue:

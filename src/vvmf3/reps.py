@@ -125,7 +125,15 @@ def validate_triple(A: int, B: int, C: int, N: int) -> RepTriple:
     Traceback (most recent call last):
         ...
     vvmf3.reps.InvalidTripleError: level 5 does not divide 4*sigma = 12, so the minimal weight is not an integer
+
+    Each value must be of type int: a bool, float or str is rejected with
+    code "type" before the exponents are sorted.
     """
+    for name, v in (("A", A), ("B", B), ("C", C), ("N", N)):
+        if type(v) is not int:
+            raise InvalidTripleError(
+                "type", f"{name} must be an int, got {type(v).__name__} {v!r}"
+            )
     a, b, c = sorted((A, B, C))
     return RepTriple(a, b, c, N)
 

@@ -49,6 +49,15 @@ def test_triple_json_round_trip():
     assert RepTriple.from_json_dict(data) == t
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_triple_from_json_rejects_non_int_values(bad):
+    for key in ("A", "N"):
+        data = {"A": 1, "B": 2, "C": 4, "N": 7, key: bad}
+        with pytest.raises(InvalidTripleError) as exc_info:
+            RepTriple.from_json_dict(data)
+        assert exc_info.value.code == "type", data
+
+
 def test_enumerate_level_7_pinned():
     got = [(t.A, t.B, t.C) for t in enumerate_level(7)]
     assert got == [(0, 1, 6), (0, 2, 5), (0, 3, 4), (1, 2, 4), (3, 5, 6)]

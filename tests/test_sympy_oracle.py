@@ -32,6 +32,19 @@ def test_prime_factors_of_two_large_primes_match_sympy(a, b):
     assert prime_factors(p * q) == sorted(sympy.factorint(p * q).items())
 
 
+# The last primes below the trial-division bound 10^4 and the first above it.
+TABLE_EDGE_PRIMES = (2, 9949, 9967, 9973, 10007, 10009)
+
+
+def test_prime_factors_at_the_table_edge_match_sympy():
+    q = sympy.prevprime(2**45)
+    ns = [1, 9973 * q, q * q]
+    ns += [p**k for p in TABLE_EDGE_PRIMES for k in (2, 3)]
+    ns += [p * r for i, p in enumerate(TABLE_EDGE_PRIMES) for r in TABLE_EDGE_PRIMES[i + 1:]]
+    for n in ns:
+        assert prime_factors(n) == sorted(sympy.factorint(n).items()), n
+
+
 def test_bernoulli_matches_sympy():
     for k in range(2, 121, 2):
         assert bernoulli(k) == Fraction(str(sympy.bernoulli(k)))

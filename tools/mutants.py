@@ -1,0 +1,178 @@
+"""Run a fixed list of hand-written mutants against the tests meant to kill them.
+
+    python3 tools/mutants.py [--out mutants.json] [NAME ...]
+
+Each mutant replaces one piece of text in one file of ``src/`` or ``tests/``;
+the old text must occur exactly once.  For every mutant the script copies
+``src/``, ``tests/`` and ``pyproject.toml`` of its own checkout into a
+temporary directory, applies the mutant there, and runs
+``python -m pytest -x -q`` on the mutant's tests with that copy's ``src`` on
+the path.  A run that fails kills the mutant; a run that passes lets it
+survive.  Before the mutants, the same tests run once on an unmutated copy,
+so that a kill cannot come from a test that already fails.
+
+Each mutant is marked ``killed`` (the tests must catch it) or ``equivalent``
+(it computes the same results, so no test can).  The script prints one JSON
+object, or writes it to ``--out``, and exits 1 if a mutant marked killed
+survives, or if any run ends in a pytest error other than failed tests.
+Positional names run only those mutants.  It takes minutes, so it is not a
+CI step: run it after rewriting a kernel, and add that kernel's mutants here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ORACLE = "tests/test_sympy_oracle.py"
+
+# name, file, old text, new text, reason, expected outcome, tests to run.
+MUTANTS = (
+    (
+        "prime_factors_break_on_equal_square",
+        "src/vvmf3/arith.py",
+        "if p * p > m:",
+        "if p * p >= m:",
+        "stops trial division at p * p == m and records m = p^2 as a prime",
+        "killed",
+        ("tests/test_arith.py", ORACLE),
+    ),
+    (
+        "prime_factors_without_rho",
+        "src/vvmf3/arith.py",
+        "if m < _TABLE_BOUND * _TABLE_BOUND:",
+        "if True:",
+        "records the cofactor the whole table leaves as one prime, unsplit",
+        "killed",
+        ("tests/test_arith.py", ORACLE),
+    ),
+    (
+        "prime_factors_exponent_reset",
+        "src/vvmf3/arith.py",
+        "e += 1",
+        "e = 1",
+        "records every table prime with exponent 1",
+        "killed",
+        ("tests/test_arith.py", ORACLE),
+    ),
+    (
+        "prime_factors_table_bound_100",
+        "src/vvmf3/arith.py",
+        "_TABLE_BOUND = 10_000",
+        "_TABLE_BOUND = 100",
+        "a shorter table leaves more to Miller-Rabin and rho, whose "
+        "factorization is the same",
+        "equivalent",
+        ("tests/test_arith.py", ORACLE),
+    ),
+    (
+        "verify_formula_window_floor",
+        "src/vvmf3/valuation.py",
+        "w = min(n_max, -(-k // nu_6n))",
+        "w = min(n_max, k // nu_6n)",
+        "a window floor(K / e) misses the diagonal term at K = 1, e = 2; "
+        "verify_formula then falls back to the exact recursion",
+        "killed",
+        ("tests/test_valuation.py::test_verify_formula_stays_on_modular_path",),
+    ),
+    (
+        "denominator_profile_ratio_minus_e",
+        "src/vvmf3/valuation.py",
+        "pairs.append((n, (pairs[-1][1] if pairs else 0) - e))",
+        "pairs.append((n, -e))",
+        "records -nu_p(r_n) as the new minimum in place of the running value "
+        "lowered by it",
+        "killed",
+        ("tests/test_valuation.py::test_denominator_profile_matches_hypergeometric_minima",),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    shutil.copytree(ROOT / "src", dest / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copytree(ROOT / "tests", dest / "tests",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(dest: Path, tests: tuple[str, ...]) -> tuple[int, float]:
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=dest, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode, round(perf_counter() - start, 2)
+
+
+def _outcome(returncode: int) -> str:
+    # pytest exits 0 when every test passes and 1 when some test fails.
+    return {0: "survived", 1: "killed"}.get(returncode, f"error (pytest exit {returncode})")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="run only these mutants")
+    parser.add_argument("--out", type=Path, help="write the JSON here, not to stdout")
+    args = parser.parse_args()
+    known = {m[0] for m in MUTANTS}
+    unknown = sorted(set(args.names) - known)
+    if unknown:
+        parser.error(f"unknown mutants {unknown}; known: {sorted(known)}")
+    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
+
+    for name, path, old, *_ in chosen:
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            raise SystemExit(f"{name}: {old!r} occurs {count} times in {path}, not once")
+
+    results = []
+    with tempfile.TemporaryDirectory(prefix="vvmf3-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        tests = tuple(dict.fromkeys(t for m in chosen for t in m[6]))
+        code, seconds = _pytest(base, tests)
+        baseline = {"tests": list(tests), "pytest_exit": code, "seconds": seconds}
+        print(f"unmutated: pytest exit {code} in {seconds} s", file=sys.stderr)
+        if code != 0:
+            raise SystemExit(f"the unmutated tests do not pass: {baseline}")
+        for i, (name, path, old, new, reason, expected, tests) in enumerate(chosen):
+            work = Path(tmp) / f"m{i}"
+            _copy(work)
+            target = work / path
+            target.write_text(target.read_text().replace(old, new))
+            code, seconds = _pytest(work, tests)
+            outcome = _outcome(code)
+            print(f"{name}: {outcome} in {seconds} s (expected {expected})", file=sys.stderr)
+            results.append({
+                "name": name, "file": path, "old": old, "new": new, "reason": reason,
+                "expected": expected, "tests": list(tests), "outcome": outcome,
+                "seconds": seconds,
+            })
+            shutil.rmtree(work)
+
+    failed = [r["name"] for r in results
+              if r["outcome"].startswith("error")
+              or (r["expected"] == "killed" and r["outcome"] != "killed")]
+    report = {"python": sys.version.split()[0], "baseline": baseline,
+              "mutants": results, "failed": failed}
+    text = json.dumps(report, indent=1)
+    if args.out:
+        args.out.write_text(text + "\n")
+    else:
+        print(text)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
