@@ -22,15 +22,9 @@ alpha4 = omega/N^2 - (3 k0^2 + 12 k0 + 8)/144 and the x6 expression above).
 The Frobenius recursion runs on scaled integers: 6N^3 * phi_m(A/N + j) and
 6N * n * lambda(n) are integers.  The first rests on the integrality of the
 arrays h_j, which build_mde checks coefficient by coefficient with _exact_div,
-raising ArithmeticError should one fail.  component_series carries each
-coefficient as an integer a(j) * L, over an lcm L of reduced denominators:
-the latest over the running lcm, the earlier ones in closed blocks, each over
-the lcm current when it closed.  So an integer stays about as wide as its own
-coefficient, not as the last one, and a row's sum is a Horner sum over the
-blocks that multiplies in the ratios of successive lcms.  Each coefficient
-takes one gcd of the lcm's size.  ode_residual evaluates the same row sums
-over a whole series, one dot product per coefficient.  Both read their rows
-of the quadratic P_m(j) from _rows.
+raising ArithmeticError should one fail.  component_series and ode_residual
+take their row sums over the closed blocks of a series described in qseries,
+and read their rows of the quadratic P_m(j) from _rows.
 
 So ode_residual is no independent check of _rows: a fault there that keeps
 each row homogeneous in (v0, d), such as a wrong factor on a difference,
@@ -44,12 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd
-from operator import add, mul
+from operator import add
 from typing import Iterator, Optional
 
 from .arith import RationalLike, _exact
-from .qseries import QExpansion, _eisenstein_coeffs, _integral, modular_derivative
+from .qseries import QExpansion, _closes, _eisenstein_coeffs, _horner, _row_sums, modular_derivative
 from .reps import RepTriple
 
 __all__ = [
@@ -276,21 +271,11 @@ def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> 
     denominators of a(0..n-1).  With P_m(j) = 6N^3 phi_m(lead/N + j) and
     c_n = 6N n lambda(n), a(n) = -S / (L c_n) for S = sum_{j<n} b_j P_{n-j}(j).
     At each prime p the lcm's valuation grows by max(0, nu_p(c_n) - nu_p(S)),
-    so with g = gcd(S, c_n) the lcm grows by r = c_n / g, every b_j grows by
-    r, and b_n = -S / g.  Reducing b_n / L is the only gcd on numbers of
-    L's size.
-
-    Only the latest b_j, in recent, are multiplied by r.  Once recent holds
-    more than 4 sqrt(n + 1) of them it closes: it is kept as it stands, over
-    the L of that row, with the ratio of that L to the L of the previous
-    close, and is never rescaled again.  So b_j stays about as wide as the
-    coefficients of its own block, not as a(n), and since the coefficients
-    widen linearly in n the dot products take about half the work of b_j
-    all over the current L.  A row's sum is a Horner sum over the closed
-    blocks, acc = acc * ratio + dot, which carries acc from one close's L to
-    the next, then S = acc * rho + dot of recent, with rho = L / (L at the
-    last close).  The row of P_{n-j}(j) comes from _rows with unit scales,
-    v_j = lead + j N and d = N.
+    so with g = gcd(S, c_n) the lcm grows by r = c_n / g and b_n = -S / g.
+    Reducing b_n / L is the only gcd on numbers of L's size.  The b_j are
+    held in the blocks of qseries as they come: only the open one, recent,
+    grows by r, with rho = L / (L at the last close).  S is their _horner sum
+    against the row P_{n-j}(j) of _rows at unit scales, v_j = lead + j N.
     """
     T = sys.order if order is None else order
     if T < 0:
@@ -302,14 +287,7 @@ def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> 
     coeffs = [Fraction(1)]
     rows = _rows(sys, (1, 1, 1), lead, n_level, 1, T)
     for cn, p in zip(_recursion_c(sys.triple, lead, T), rows):
-        # One pass over P_n(0), ..., P_1(n-1): map stops at its first,
-        # shorter argument before it draws from the row, so each block
-        # takes exactly its own entries and recent the rest.
-        row = reversed(p)
-        acc = 0
-        for ratio, block in blocks:
-            acc = acc * ratio + sum(map(mul, block, row))
-        s = acc * rho + sum(map(mul, recent, row))
+        s = _horner([*blocks, (rho, recent)], reversed(p))
         g = gcd(s, cn)
         if g != cn:
             r = cn // g
@@ -318,7 +296,7 @@ def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> 
             recent = list(map(r.__mul__, recent))
         recent.append(-s // g)
         coeffs.append(Fraction(recent[-1], L))
-        if len(recent) ** 2 > 16 * len(coeffs):
+        if _closes(len(recent), len(coeffs)):
             blocks.append((rho, recent))
             rho, recent = 1, []
     return QExpansion(Fraction(lead, n_level), coeffs)
@@ -334,27 +312,23 @@ def ode_residual(sys: MDESystem, f: QExpansion) -> QExpansion:
     """Exact residual q^3 f''' + g2 q^2 f'' + g1 q f' + g0 f through
     T = min(f.order, sys.order).
 
-    Write f = q^(s/e) sum a_n q^n / l with integers a_n and v_j = s + e j.
-    Times 6N^3 e^3 l, the coefficient of q^(s/e + n) is the recursion's row
-    sum over j <= n: the diagonal 6N^3 v_n (v_n - e)(v_n - 2e) a_n plus the
-    dot product of a_0..a_n with the row R_{n-j}(j) of
-    R_m(j) = N^2 e h2[m] v_j (v_j - e) + N e^2 h1[m] v_j + e^3 h0[m], which
-    _rows advances by finite differences.  It is identically zero for
-    recursion output; for a perturbed series it isolates phi(s/e + n) times
-    the perturbation.
+    With f = q^(s/e) sum a_n q^n and v_j = s + e j, the coefficient of
+    q^(s/e + n) times 6N^3 e^3 is the recursion's row sum: the diagonal
+    6N^3 v_n (v_n - e)(v_n - 2e) a_n plus the sum over j <= n of a_j R_{n-j}(j),
+    R_m(j) = N^2 e h2[m] v_j (v_j - e) + N e^2 h1[m] v_j + e^3 h0[m], from
+    _rows; _row_sums gives both times its l.  It vanishes on recursion output
+    and isolates phi(s/e + n) times the perturbation of a series.
     """
     T = min(f.order, sys.order)
-    a, l = _integral(f.coeffs[: T + 1])
     s, e = f.exponent.numerator, f.exponent.denominator
     n_level = sys.triple.N
     cube = 6 * n_level**3
-    scales = (n_level * n_level * e, n_level * e * e, e**3)
-    terms = []
-    for n, row in enumerate(_rows(sys, scales, s, e, 0, T)):
-        v = s + e * n
-        terms.append(cube * v * (v - e) * (v - 2 * e) * a[n] + sum(map(mul, a, reversed(row))))
-    den = cube * e**3 * l
-    return QExpansion(f.exponent, (Fraction(x, den) for x in terms))
+    rows = _rows(sys, (n_level * n_level * e, n_level * e * e, e**3), s, e, 0, T)
+    sums = _row_sums(f.coeffs[: T + 1], map(reversed, rows))
+    return QExpansion(f.exponent, [
+        Fraction(cube * v * (v - e) * (v - 2 * e) * x + c, cube * e**3 * l)
+        for v, (l, x, c) in zip(count(s, e), sums)
+    ])
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,30 @@ with rational r in [0, 1) and rational coefficients.  T is the truncation
 order: coefficients of q^(r+n) are exact for n <= T and unknown beyond.
 Arithmetic propagates the smallest valid order of its operands, so precision
 loss is always explicit, and f.truncate(T) is the one way to shorten a series.
-Every integer Cauchy product is _row_product, one dot product per
-coefficient.  A float entering a series raises TypeError.
+A float entering a series raises TypeError.
+
+Every row sum over a series, sum_{j<=n} a_j row_n[j], runs on one integer
+form of it, its blocks.  With L_n the lcm of the reduced denominators of
+a_0..a_n, a block closes at n once it holds more than 4 sqrt(n + 1)
+coefficients (_closes), or at the last one, and keeps the integers a_j L_n
+and the ratio of L_n to the L at the previous close.  So each integer is
+about as wide as its own block's coefficients, not as the last one.  _horner
+sums a row over blocks, acc = acc * ratio + dot, over the lcm of the block
+where the row ends; _row_sums takes every row sum of a given series, and
+mde.component_series builds its blocks as its coefficients come.
 
 The module also provides the weight-k Eisenstein series (whose numerators
 build_mde reads to construct the differential equation) and the
-weight-raising modular derivative, one _row_product of E2 against the series.
+weight-raising modular derivative.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, count
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .arith import RationalLike, _exact, bernoulli, rational_str, sigma_k
 
@@ -92,21 +102,17 @@ class QExpansion:
         return self + (-other)
 
     def __mul__(self, other: Union["QExpansion", RationalLike]) -> "QExpansion":
-        """Product of two series, or of a series and a scalar.
-
-        Each operand is brought to integers over the lcm of its denominators,
-        a_i / la and b_j / lb; the product coefficient is c_n / (la lb) for the
-        Cauchy sums c_n of _row_product.
-        """
+        """Product of two series, or of a series and a scalar: c_n is the row
+        sum of this series against the other's b_n, ..., b_0 over their lcm."""
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         if not isinstance(other, QExpansion):
             return NotImplemented
         order = min(self.order, other.order)
-        a, la = _integral(self._coeffs[: order + 1])
-        b, lb = _integral(other._coeffs[: order + 1])
-        den = la * lb
-        prod = [Fraction(c, den) for c in _row_product(a, b)]
+        lb = math.lcm(*(c.denominator for c in other._coeffs[: order + 1]))
+        b = [c.numerator * (lb // c.denominator) for c in other._coeffs[: order + 1]]
+        rows = (b[n::-1] for n in range(order + 1))
+        prod = [Fraction(c, l * lb) for l, _, c in _row_sums(self._coeffs[: order + 1], rows)]
         exponent = self._exponent + other._exponent
         if exponent >= 1:
             # Fold the integer part of the exponent into the series: one exact
@@ -146,30 +152,46 @@ class QExpansion:
     @classmethod
     def from_json_dict(cls, data: dict) -> "QExpansion":
         series = cls(data["exponent"], data["coeffs"])  # a JSON float raises TypeError
-        if series.order != data["order"]:
-            raise ValueError(
-                f"order field {data['order']} disagrees with "
-                f"{len(data['coeffs'])} coefficients"
-            )
+        if type(order := data["order"]) is not int:
+            raise TypeError(f"order must be an int, got {type(order).__name__} {order!r}")
+        if series.order != order:
+            raise ValueError(f"order field {order} disagrees with {series.order + 1} coefficients")
         return series
 
 
-def _integral(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integers a_i and their common denominator l with coeffs[i] = a_i / l."""
-    l = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (l // c.denominator) for c in coeffs], l
+def _closes(size: int, n: int) -> bool:
+    return size * size > 16 * n
 
 
-def _row_product(narrow: Sequence[int], wide: Sequence[int]) -> list[int]:
-    """The Cauchy sums c_n = sum_{i+j=n} narrow_i wide_j for n < len(narrow) = len(wide).
+def _blocks(cs: Sequence[Fraction]) -> list[tuple[int, list[int]]]:
+    """The blocks (ratio, ints) of the series with coefficients cs, in order."""
+    lcms = list(accumulate((c.denominator for c in cs), math.lcm))
+    blocks, start, last = [], 0, 1
+    for n, l in enumerate(lcms, 1):
+        if _closes(n - start, n) or n == len(lcms):
+            blocks.append((l // last, [c.numerator * (l // c.denominator) for c in cs[start:n]]))
+            start, last = n, l
+    return blocks
 
-    One dot product per coefficient: c_n multiplies each wide_j by one narrow
-    entry, so a narrow operand of tens of bits costs about len^2 / 2 products
-    of a small int by a wide one.
-    """
-    rev = narrow[::-1]
-    top = len(narrow) - 1
-    return [sum(map(mul, wide, rev[top - n :])) for n in range(len(wide))]
+
+def _horner(blocks: Iterable[tuple[int, Sequence[int]]], row: Iterator[int]) -> int:
+    """acc = acc * ratio + dot over blocks, each dot taking the next entries of
+    the iterator row (map stops at ints before it draws from row), up to the
+    block where row ends; the sum is over that block's lcm."""
+    acc = 0
+    for ratio, ints in blocks:
+        acc = acc * ratio + sum(map(mul, ints, row))
+    return acc
+
+
+def _row_sums(coeffs: Sequence[Fraction], rows: Iterable[Iterable[int]]) -> Iterator[tuple]:
+    """(l, a_n l, sum_{j<=n} a_j l row_n[j]) for each n, l the lcm of a_n's
+    block, from rows that list row n in the order of a_0, ..., a_n."""
+    blocks, rows, l = _blocks(coeffs), iter(rows), 1
+    for k, (ratio, ints) in enumerate(blocks, 1):
+        l, head = l * ratio, blocks[:k]
+        for x, row in zip(ints, rows):
+            yield l, x, _horner(head, iter(row))
 
 
 # Eisenstein coefficients per weight, one list each; extended on demand.
@@ -206,17 +228,18 @@ def modular_derivative(f: QExpansion, k: RationalLike) -> QExpansion:
 
     theta multiplies the coefficient of q^(r+n) by (r+n).  The result is a
     weight k+2 object when f has weight k, to the order of f; truncate f
-    first for a shorter result.  With f's coefficients a_n / l over one
-    denominator, c = _row_product(E2, a), r = s/e and k = kn/kd, the
-    coefficient of q^(r+n) is (12 kd (s + e n) a_n - kn e c_n) / (12 kd e l).
+    first for a shorter result.  With (l, x, c) from _row_sums of f against
+    the E2 numerators, r = s/e, v = s + e n and k = kn/kd, the coefficient of
+    q^(r+n) is (12 kd v x - kn e c) / (12 kd e l).
 
     >>> modular_derivative(QExpansion(0, [1, 0, 0]), 0).coeffs
     (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))
     """
     kn, kd = _exact(k).as_integer_ratio()
     s, e = f.exponent.as_integer_ratio()
-    a, l = _integral(f.coeffs)
-    c = _row_product([x.numerator for x in _eisenstein_coeffs(2, f.order)], a)
-    den = 12 * kd * e * l
-    terms = (12 * kd * (s + e * n) * an - kn * e * cn for n, (an, cn) in enumerate(zip(a, c)))
-    return QExpansion(f.exponent, [Fraction(x, den) for x in terms])
+    e2 = [x.numerator for x in _eisenstein_coeffs(2, f.order)]
+    sums = _row_sums(f.coeffs, (e2[n::-1] for n in range(f.order + 1)))
+    return QExpansion(f.exponent, [
+        Fraction(12 * kd * v * x - kn * e * c, 12 * kd * e * l)
+        for v, (l, x, c) in zip(count(s, e), sums)
+    ])

@@ -113,7 +113,10 @@ class RepTriple:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RepTriple":
-        return validate_triple(data["A"], data["B"], data["C"], data["N"])
+        t = validate_triple(data["A"], data["B"], data["C"], data["N"])
+        if type(k0 := data.get("k0", t.k0)) is not int or k0 != t.k0:
+            raise InvalidTripleError("weight", f"k0 field {k0!r} disagrees with k0 = {t.k0}")
+        return t
 
 
 def validate_triple(A: int, B: int, C: int, N: int) -> RepTriple:

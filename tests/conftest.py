@@ -36,7 +36,7 @@ from operator import add, mul
 
 from vvmf3.arith import INFINITY, int_valuation, prime_factors
 from vvmf3.mde import MDESystem
-from vvmf3.qseries import QExpansion, _integral
+from vvmf3.qseries import QExpansion
 from vvmf3.reps import RepTriple, validate_triple
 from vvmf3.valuation import DenominatorProfile, PrimeStats
 
@@ -272,7 +272,8 @@ def reference_ode_residual(sys: MDESystem, f: QExpansion) -> QExpansion:
     perturbed series it isolates phi(s/e + n) times the perturbation.
     """
     T = min(f.order, sys.order)
-    a, l = _integral(f.coeffs[: T + 1])
+    l = math.lcm(*(c.denominator for c in f.coeffs[: T + 1]))
+    a = [c.numerator * (l // c.denominator) for c in f.coeffs[: T + 1]]
     s, e = f.exponent.numerator, f.exponent.denominator
     n_level = sys.triple.N
     v = [s + e * n for n in range(T + 1)]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vvmf3.mde
 from vvmf3.mde import (
     _recursion_c,
     build_mde,
@@ -22,7 +23,7 @@ from vvmf3.mde import (
     ode_residual,
     phi_j,
 )
-from vvmf3.qseries import QExpansion
+from vvmf3.qseries import QExpansion, _blocks, _horner
 from vvmf3.reps import enumerate_level, validate_triple
 from vvmf3.valuation import denominator_profile
 from conftest import (
@@ -154,6 +155,39 @@ def test_component_series_matches_unreduced_recursion_at_random_orders():
             anum, c = reference_unreduced(sys, lead, order)
             expected = list(map(Fraction, anum, accumulate(c, mul)))
             assert list(component_series(sys, lead).coeffs) == expected, (t, lead, order)
+
+
+def test_component_series_keeps_closed_blocks_over_prefix_lcms(monkeypatch):
+    # The width of the integers, which no output shows.  For every component
+    # of every triple with N <= 12 at order 60 and of UNBOUNDED at order 300,
+    # the block pass over the output puts each block at a(j) L_k, with L_k
+    # the lcm of the denominators through the block's last index, and the
+    # ratio L_k / L_(k-1); and before row n component_series holds exactly
+    # the blocks of a(0..n-1), so its blocks close where the pass's do.
+    states = []
+
+    def recording(blocks, row):
+        states.append([(ratio, list(ints)) for ratio, ints in blocks if ints])
+        return _horner(blocks, row)
+
+    monkeypatch.setattr(vvmf3.mde, "_horner", recording)
+    cases = [(t, 60) for level in range(1, 13) for t in enumerate_level(level)]
+    cases.append((UNBOUNDED, 300))
+    for t, order in cases:
+        sys = build_mde(t, order)
+        for lead in (t.A, t.B, t.C):
+            states.clear()
+            a = component_series(sys, lead).coeffs
+            lcms = list(accumulate((c.denominator for c in a), lcm))
+            end, last = 0, 1
+            for ratio, ints in _blocks(a):
+                start, end = end, end + len(ints)
+                assert ints == [c * lcms[end - 1] for c in a[start:end]], (t, lead, end)
+                assert ratio * last == lcms[end - 1], (t, lead, end)
+                last = lcms[end - 1]
+            assert end == order + 1 and len(states) == order
+            for n, state in enumerate(states, 1):
+                assert state == _blocks(a[:n]), (t, lead, n)
 
 
 def test_component_series_prefixes_agree():

@@ -58,6 +58,16 @@ def test_triple_from_json_rejects_non_int_values(bad):
         assert exc_info.value.code == "type", data
 
 
+@pytest.mark.parametrize("k0", [5, 3, -2, True, 2.0, "2"])
+def test_triple_from_json_rejects_k0_that_contradicts_the_triple(k0):
+    # (1, 2, 4, 7) has k0 = 2; a stored k0 is checked, and may be left out.
+    data = {"A": 1, "B": 2, "C": 4, "N": 7}
+    assert RepTriple.from_json_dict(data) == RepTriple.from_json_dict({**data, "k0": 2})
+    with pytest.raises(InvalidTripleError) as exc_info:
+        RepTriple.from_json_dict({**data, "k0": k0})
+    assert exc_info.value.code == "weight"
+
+
 def test_enumerate_level_7_pinned():
     got = [(t.A, t.B, t.C) for t in enumerate_level(7)]
     assert got == [(0, 1, 6), (0, 2, 5), (0, 3, 4), (1, 2, 4), (3, 5, 6)]

@@ -85,6 +85,40 @@ MUTANTS = (
         ("tests/test_valuation.py::test_verify_formula_stays_on_modular_path",),
     ),
     (
+        "blocks_over_final_lcm",
+        "src/vvmf3/qseries.py",
+        "lcms = list(accumulate((c.denominator for c in cs), math.lcm))",
+        "lcms = [math.lcm(*(c.denominator for c in cs))] * len(cs)",
+        "puts every block of a given series over the lcm of the whole series; "
+        "the sums and every output stay the same, only the widths grow",
+        "killed",
+        ("tests/test_mde.py::test_component_series_keeps_closed_blocks_over_prefix_lcms",),
+    ),
+    (
+        "horner_without_ratio",
+        "src/vvmf3/qseries.py",
+        "acc = acc * ratio + sum(map(mul, ints, row))",
+        "acc = acc + sum(map(mul, ints, row))",
+        "adds each block's dot product without carrying acc to the next lcm",
+        "killed",
+        ("tests/test_mde.py::test_component_series_matches_naive_oracle",
+         "tests/test_qseries.py::test_product_matches_cauchy_oracle"),
+    ),
+    (
+        "blocks_close_at_64",
+        "src/vvmf3/qseries.py",
+        "return size * size > 16 * n",
+        "return size * size > 64 * n",
+        "longer blocks, closed by the same rule in component_series and in the "
+        "block pass; the sums are the same",
+        "equivalent",
+        ("tests/test_mde.py::test_component_series_keeps_closed_blocks_over_prefix_lcms",
+         "tests/test_mde.py::test_component_series_matches_unreduced_recursion_at_random_orders",
+         "tests/test_mde.py::test_ode_residual_matches_convolution_reference",
+         "tests/test_qseries.py::test_product_matches_cauchy_oracle",
+         "tests/test_qseries.py::test_modular_derivative_matches_series_reference"),
+    ),
+    (
         "denominator_profile_ratio_minus_e",
         "src/vvmf3/valuation.py",
         "pairs.append((n, (pairs[-1][1] if pairs else 0) - e))",
