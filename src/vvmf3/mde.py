@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, count
 from math import gcd
 from operator import add
 from typing import Iterator, Optional
@@ -219,16 +219,21 @@ def _frobenius(sys: MDESystem, lead: int, T: int, modulus: int, window: int) -> 
     evaluated as a Horner recurrence over j >= n - window only, so the system
     need only reach order window.  Each row is reduced mod the modulus once.
     The residues are exact when every dropped term is 0 mod the modulus: the
-    term of j carries n - 1 - j factors c_k (see verify_formula).  At window
-    1 each c_k multiplies only s = 0, so the c_k are built only past it.
+    term of j carries n - 1 - j factors c_k (see verify_formula).  Where one
+    term is kept (window or T is 1) no c_k enters: the residues are the running
+    product anum[n] = -anum[n-1] P_1(n-1), P_1(j) = 6N^3 phi_1(lead/N + j).
     """
     if min(window, T) > sys.order:
         raise ValueError(f"system built to order {sys.order}, requested {min(window, T)}")
     n_level = sys.triple.N
     h0, h1, h2 = sys.h0, sys.h1, sys.h2
+    if min(window, T) == 1:
+        a2, a1, a0 = h2[1], h1[1], h0[1]
+        col = [(a2 * (v - n_level) + a1) * v + a0 for v in range(lead, lead + T * n_level, n_level)]
+        return list(accumulate(col, lambda a, x: -a * x % modulus, initial=1))
     u = [lead + j * n_level for j in range(T + 1)]
     uu = [v * (v - n_level) for v in u]
-    c = [1] + _recursion_c(sys.triple, lead, T) if window > 1 else [0] * (T + 1)
+    c = [1] + _recursion_c(sys.triple, lead, T)
     anum = [1]
     for n in range(1, T + 1):
         s = 0

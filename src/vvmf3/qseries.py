@@ -151,7 +151,9 @@ class QExpansion:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QExpansion":
-        series = cls(data["exponent"], data["coeffs"])  # a JSON float raises TypeError
+        if type(coeffs := data["coeffs"]) is not list:
+            raise TypeError(f"coeffs must be a list, got {type(coeffs).__name__} {coeffs!r}")
+        series = cls(data["exponent"], coeffs)  # a JSON float raises TypeError
         if type(order := data["order"]) is not int:
             raise TypeError(f"order must be an int, got {type(order).__name__} {order!r}")
         if series.order != order:

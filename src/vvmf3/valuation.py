@@ -279,9 +279,12 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
         shift = delta + nu_6n
         k = n_max * shift + 1
         w = min(n_max, -(-k // nu_6n))
-        residues = _frobenius(build_mde(t, w), lead, n_max, p**k, w)
-        powers = (p ** (n * shift) for n in range(n_max + 1))
-        if all(a % q == 0 and a // q % p for a, q in zip(residues, powers)):
+        step, q = p**shift, 1
+        for a in _frobenius(build_mde(t, w), lead, n_max, p**k, w):
+            if a % q or not a // q % p:
+                break
+            q *= step
+        else:
             observed = predicted
     if observed is None:
         series = component_series(build_mde(t, n_max), lead)

@@ -152,11 +152,14 @@ def test_json_round_trip():
     # JSON numbers: integers are exact, floats are rejected as by the constructor.
     assert QExpansion.from_json_dict(json.loads('{"exponent": 0, "coeffs": [1, -3], "order": 1}')) \
         == QExpansion(0, [1, -3])
-    # So is an order that is not an int, even one equal to the coefficient count.
+    # So is an order that is not an int, even one equal to the coefficient count,
+    # and coeffs that are not a list, though a string or an object can be iterated.
     for text in ('{"exponent": "0", "coeffs": ["1", 0.1], "order": 1}',
                  '{"exponent": 0.5, "coeffs": ["1"], "order": 0}',
                  '{"exponent": "0", "coeffs": ["1", "2"], "order": true}',
-                 '{"exponent": "0", "coeffs": ["1", "2"], "order": 1.0}'):
+                 '{"exponent": "0", "coeffs": ["1", "2"], "order": 1.0}',
+                 '{"exponent": "0", "coeffs": "12", "order": 1}',
+                 '{"exponent": "0", "coeffs": {"1": 0, "5": 1}, "order": 1}'):
         with pytest.raises(TypeError):
             QExpansion.from_json_dict(json.loads(text))
 

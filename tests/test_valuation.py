@@ -581,6 +581,33 @@ def test_verify_formula_modular_path_matches_exact_path() -> None:
     assert {case_id for case_id, shift, w in windows if shift > 0 and w > 1} == {3, 5, 6, 7, 8}
 
 
+@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize(
+    "tup, p, windows",
+    [((1, 3, 7, 11), 11, (1, 1)), ((0, 1, 26, 27), 3, (1, 2))],
+    ids=["level-11", "level-27"],
+)
+def test_frobenius_at_the_shortest_orders(tup, p, windows, n_max) -> None:
+    # n_max = 1 and 2, where the column of the running product (window 1)
+    # and the Horner window (window 2 at level 27, shift 2) are shortest:
+    # the residues against the exact numerators mod p^K, the rows against
+    # the reduced Fractions of component_series.
+    t = validate_triple(*tup)
+    report = verify_formula(t, p, n_max=n_max)
+    assert report.verdict == "formula-verified"
+    e = int_valuation(6 * t.N, p)
+    k = n_max * (report.case.delta + e) + 1
+    w = min(n_max, -(-k // e))
+    assert w == windows[n_max - 1]
+    anum, _ = reference_unreduced(build_mde(t, n_max), report.lead, n_max)
+    residues = _frobenius(build_mde(t, w), report.lead, n_max, p**k, w)
+    assert residues == [a % p**k for a in anum]
+    coeffs = component_series(build_mde(t, n_max), report.lead).coeffs
+    assert [(n, obs) for n, obs, _ in report.rows] == [
+        (n, valuation_p(coeffs[n], p)) for n in range(1, n_max + 1)
+    ]
+
+
 @pytest.mark.parametrize(
     "tup, p, n_max",
     [

@@ -85,6 +85,27 @@ MUTANTS = (
         ("tests/test_valuation.py::test_verify_formula_stays_on_modular_path",),
     ),
     (
+        "running_product_without_sign",
+        "src/vvmf3/mde.py",
+        "lambda a, x: -a * x % modulus",
+        "lambda a, x: a * x % modulus",
+        "drops the sign of the window-1 running product: every residue of odd n "
+        "is negated, which leaves each row's divisibility and so every verdict "
+        "as it was",
+        "killed",
+        ("tests/test_valuation.py::test_verify_formula_modular_path_matches_exact_path",),
+    ),
+    (
+        "row_test_power_reset",
+        "src/vvmf3/valuation.py",
+        "q *= step",
+        "q = step",
+        "tests every row n >= 1 against p^shift, not p^(n * shift); at shift 0 "
+        "that is the same power",
+        "killed",
+        ("tests/test_valuation.py::test_verify_formula_stays_on_modular_path_with_shift",),
+    ),
+    (
         "blocks_over_final_lcm",
         "src/vvmf3/qseries.py",
         "lcms = list(accumulate((c.denominator for c in cs), math.lcm))",
