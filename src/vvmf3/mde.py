@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import count
 from math import gcd
 from operator import add
 from typing import Iterator, Optional
@@ -208,40 +208,6 @@ def _recursion_c(t: RepTriple, lead: int, T: int) -> list[int]:
             raise ArithmeticError(f"lambda_n vanishes for {t}, lead {lead}, n = {k}")
         c.append(6 * nn * val)
     return c
-
-
-def _frobenius(sys: MDESystem, lead: int, T: int, modulus: int, window: int) -> list[int]:
-    """Residues mod the modulus of the unreduced numerators anum[0..T].
-
-    With c_k = 6N k lambda(k) from _recursion_c, the coefficients are
-    a(n) = anum[n] / (c_1 ... c_n), and
-    anum[n] = -sum_{j<n} anum[j] (6N^3 phi_{n-j}(lead/N + j)) c_{j+1} ... c_{n-1},
-    evaluated as a Horner recurrence over j >= n - window only, so the system
-    need only reach order window.  Each row is reduced mod the modulus once.
-    The residues are exact when every dropped term is 0 mod the modulus: the
-    term of j carries n - 1 - j factors c_k (see verify_formula).  Where one
-    term is kept (window or T is 1) no c_k enters: the residues are the running
-    product anum[n] = -anum[n-1] P_1(n-1), P_1(j) = 6N^3 phi_1(lead/N + j).
-    """
-    if min(window, T) > sys.order:
-        raise ValueError(f"system built to order {sys.order}, requested {min(window, T)}")
-    n_level = sys.triple.N
-    h0, h1, h2 = sys.h0, sys.h1, sys.h2
-    if min(window, T) == 1:
-        a2, a1, a0 = h2[1], h1[1], h0[1]
-        col = [(a2 * (v - n_level) + a1) * v + a0 for v in range(lead, lead + T * n_level, n_level)]
-        return list(accumulate(col, lambda a, x: -a * x % modulus, initial=1))
-    u = [lead + j * n_level for j in range(T + 1)]
-    uu = [v * (v - n_level) for v in u]
-    c = [1] + _recursion_c(sys.triple, lead, T)
-    anum = [1]
-    for n in range(1, T + 1):
-        s = 0
-        for j in range(n - window if n > window else 0, n):
-            m = n - j
-            s = s * c[j] + anum[j] * (h2[m] * uu[j] + h1[m] * u[j] + h0[m])
-        anum.append(-s % modulus)
-    return anum
 
 
 def _rows(

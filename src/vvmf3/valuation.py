@@ -14,11 +14,13 @@ a = lead, is a product of four factors, three of them linear in k; p^e
 divides each on one arithmetic progression of k, which _law counts for both
 predicted_valuation and verify_formula.  Since a(n) = anum_n / (c_1 ... c_n)
 for integers anum_n, the law is equivalent to nu_p(anum_n) = n * shift,
-shift = delta + nu_p(6N) = nu_p(z_0) + nu_p(6), which verify_formula checks
-by divisibility on residues mod a power of p; observed valuations otherwise
-come from the reduced coefficients of component_series.  A prime passing the
-criterion below therefore certifies unbounded denominators at desk scale;
-the module also profiles observed denominators directly.
+shift = delta + nu_p(6N) = nu_p(z_0) + nu_p(6).  By the ultrametric
+inequality verify_formula decides that in closed form, from the valuations
+of the first two recursion polynomials P_1 and P_2 at j < n_max; observed
+valuations otherwise come from the reduced coefficients of component_series.
+A prime passing reps.ubd_criterion therefore certifies unbounded
+denominators at desk scale; the module also profiles observed denominators
+directly.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .arith import INFINITY, ValuationValue, int_valuation, is_prime, prime_factors
-from .mde import _frobenius, build_mde, component_series
+from .mde import MDESystem, build_mde, component_series
 from .qseries import QExpansion
-from .reps import RepTriple, _case_table, ubd_criterion
+from .reps import RepTriple, _case_table
 
 __all__ = [
     "DenominatorProfile",
@@ -43,7 +45,6 @@ __all__ = [
     "classify_prime",
     "denominator_profile",
     "predicted_valuation",
-    "ubd_criterion",
     "verify_formula",
     "z_n_value",
 ]
@@ -248,18 +249,36 @@ def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     return _law(t, lead, p, _delta_for_lead(t, classify_prime(t, p), lead), n)[-1]
 
 
+def _column(sys: MDESystem, lead: int, m: int, n: int) -> Iterator[int]:
+    """P_m(j) = 6N^3 phi_m(lead/N + j) = h2[m] u (u - N) + h1[m] u + h0[m],
+    u = lead + j N, for j = 0..n-1."""
+    h2, h1, h0, big_n = sys.h2[m], sys.h1[m], sys.h0[m], sys.triple.N
+    return ((h2 * (u - big_n) + h1) * u + h0 for u in range(lead, lead + n * big_n, big_n))
+
+
 def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> ValuationReport:
     """Compare observed nu_p(a(n)) against the law for 1 <= n <= n_max (>= 1).
 
-    When the law applies, it is equivalent to nu_p(anum_n) = n * shift for
-    the numerators of a(n) = anum_n / (c_1 ... c_n).  Their residues mod p^K,
-    K = n_max * shift + 1, decide every row by divisibility by p^(n * shift)
-    and p^(n * shift + 1), since each n * shift is below K.  Every c_k has
-    nu_p(c_k) >= e = nu_p(6N) >= 1, so in the Horner sum for anum_n the terms
-    of j < n - w, w = ceil(K / e), vanish mod p^K and _frobenius needs only a
-    window of w.  When the law is inapplicable, or a residue misses its
-    prediction, the observed column is read from the reduced coefficients of
-    component_series.
+    Where the law applies it is nu_p(anum_n) = n * s, s = shift, for the
+    numerators of a(n) = anum_n / (c_1 ... c_n), and a closed test on the
+    order-2 system decides every row at once.  With e = nu_p(6N) and
+    P_m(j) = 6N^3 phi_m(lead/N + j), the rows hold when
+
+    1. nu_p(P_1(j)) = s for every j < n_max, and
+    2. e > 2s, or p | P_2(j) for every j < n_max - 1.
+
+    In anum_n = -sum_{j<n} anum_j P_{n-j}(j) c_{j+1} ... c_{n-1}, take
+    nu_p(anum_j) = j s for j < n; every c_k has nu_p(c_k) >= e, so the term
+    of j = n - m has valuation at least (n - m) s + nu_p(P_m(n - m)) + (m - 1) e.
+    The hypothesis nu_p(N) > 2 nu_p(z_0) gives e >= 2s + 1 for p >= 5 and
+    e >= 2s for p = 2, 3, and e >= 1 as p | N.  So every term of m >= 3
+    exceeds n s, and so does that of m = 2 unless e = 2s and p does not
+    divide P_2(n - 2).  By the ultrametric inequality row n then holds
+    exactly when nu_p(P_1(n - 1)) = s.  For p >= 5 the test is equivalent to
+    the rows; for p = 2, 3 it is sufficient.  Since P_1(j) = 6 z_j, test 1
+    also checks build_mde against z_n_value.  When the law is inapplicable,
+    or the test fails, the observed column is read from the reduced
+    coefficients of component_series.
     """
     if n_max < 1:
         raise ValueError(f"verify_formula needs n_max >= 1, got {n_max}")
@@ -275,16 +294,12 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
     observed: Optional[list[ValuationValue]] = None
     if applicable:
         predicted = _law(t, lead, p, delta, n_max)
-        nu_6n = int_valuation(6 * t.N, p)
-        shift = delta + nu_6n
-        k = n_max * shift + 1
-        w = min(n_max, -(-k // nu_6n))
-        step, q = p**shift, 1
-        for a in _frobenius(build_mde(t, w), lead, n_max, p**k, w):
-            if a % q or not a // q % p:
-                break
-            q *= step
-        else:
+        e = int_valuation(6 * t.N, p)
+        shift = delta + e
+        sys, unit = build_mde(t, 2), p**shift
+        if all(x % unit == 0 and x // unit % p for x in _column(sys, lead, 1, n_max)) and (
+            e > 2 * shift or all(x % p == 0 for x in _column(sys, lead, 2, n_max - 1))
+        ):
             observed = predicted
     if observed is None:
         series = component_series(build_mde(t, n_max), lead)

@@ -29,12 +29,12 @@ from vvmf3.reps import (
     enumerate_level,
     gamma02_family,
     gamma3_family,
+    ubd_criterion,
     validate_triple,
 )
 from vvmf3.valuation import (
     classify_prime,
     denominator_profile,
-    ubd_criterion,
     verify_formula,
     z_n_value,
 )

@@ -1,5 +1,5 @@
 """The package's modules import one another without a cycle, and nothing
-outside the standard library."""
+outside the standard library; each public name is declared in one module."""
 
 import ast
 import sys
@@ -55,3 +55,19 @@ def test_package_imports_only_the_standard_library() -> None:
     assert {"fractions", "math"} <= imported.keys()
     outside = {m: f for m, f in imported.items() if m not in sys.stdlib_module_names}
     assert not outside, f"imports outside the standard library: {outside}"
+
+
+def test_each_public_name_is_declared_in_one_module() -> None:
+    declared: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (
+                isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["__all__"]
+                and isinstance(node.value, (ast.List, ast.Tuple))
+            ):
+                for name in ast.literal_eval(node.value):
+                    declared.setdefault(name, []).append(path.stem)
+    assert {"verify_formula", "ubd_criterion"} <= declared.keys()
+    twice = {name: modules for name, modules in declared.items() if len(modules) > 1}
+    assert not twice, f"names in more than one module's __all__: {twice}"

@@ -1,5 +1,6 @@
 """Prime classification, the valuation law, and denominator profiles."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import accumulate, chain
 
@@ -14,10 +15,10 @@ from conftest import (
     sample_triples,
 )
 from vvmf3.arith import INFINITY, int_valuation, is_prime, prime_factors, valuation_p
-from vvmf3.mde import _frobenius, _recursion_c, build_mde, component_series, minimal_vector, phi_j
+from vvmf3.mde import _recursion_c, build_mde, component_series, minimal_vector, phi_j
 import vvmf3.mde
 import vvmf3.valuation
-from vvmf3.reps import enumerate_level, validate_triple
+from vvmf3.reps import enumerate_level, ubd_criterion, validate_triple
 from vvmf3.valuation import (
     FormulaInapplicable,
     PrimeCase,
@@ -27,7 +28,6 @@ from vvmf3.valuation import (
     classify_prime,
     denominator_profile,
     predicted_valuation,
-    ubd_criterion,
     verify_formula,
     z_n_value,
 )
@@ -461,6 +461,27 @@ def test_denominator_profile_matches_hypergeometric_minima() -> None:
     assert (pairs, skipped, negative) == (4240, 350, 1430)
 
 
+def _doctored_build(monkeypatch, lead: int, m: int, value: int) -> None:
+    """Make the first system verify_formula builds, the order-2 one of the
+    closed test, read P_m(0) = value: h0[m] moves by value - P_m(0), so every
+    P_m(j) moves with it.  The system the exact path builds stays as it is."""
+    built = []
+
+    def doctored(t, order):
+        sys = build_mde(t, order)
+        built.append(order)
+        if len(built) > 1:
+            return sys
+        assert order == 2
+        p_m0 = 6 * t.N**3 * phi_j(sys, m, Fraction(lead, t.N))
+        assert p_m0.denominator == 1
+        h0 = list(sys.h0)
+        h0[m] += value - p_m0.numerator
+        return dataclasses.replace(sys, h0=tuple(h0))
+
+    monkeypatch.setattr(vvmf3.valuation, "build_mde", doctored)
+
+
 @pytest.mark.parametrize(
     "doctor, verdict",
     [
@@ -479,59 +500,48 @@ def test_verify_formula_mismatch_verdict(monkeypatch, doctor, verdict) -> None:
     doctored = QExpansion(real.exponent, doctor(list(real.coeffs)))
     calls = []
 
-    def missing_residues(sys, lead, T, modulus, window):
-        calls.append("_frobenius")
-        return [0] * (T + 1)
-
     def doctored_series(sys, lead, order=None):
         calls.append("component_series")
         return doctored
 
-    monkeypatch.setattr(vvmf3.valuation, "_frobenius", missing_residues)
+    # P_1(0) = 0 fails the closed test, so the exact recursion supplies the rows.
+    _doctored_build(monkeypatch, 1, 1, 0)
     monkeypatch.setattr(vvmf3.valuation, "component_series", doctored_series)
     report = verify_formula(t, 11, n_max=20)
-    # The residues miss the law, so the exact recursion supplies the rows.
-    assert calls == ["_frobenius", "component_series"]
+    assert calls == ["component_series"]
     assert report.applicable
     assert report.verdict == verdict
 
 
 @pytest.mark.parametrize(
-    "doctor",
-    [lambda r: 0, lambda r: r * 3, lambda r: r + 3**59],
-    ids=["zero", "extra-factor", "missing-factor"],
+    "m, value",
+    [(1, 0), (1, 3**3), (1, 3), (2, 1)],
+    ids=["zero", "extra-factor", "missing-factor", "p2-unit"],
 )
-def test_verify_formula_residue_walk_rejects_doctored_residues(monkeypatch, doctor) -> None:
-    # Case 6 with shift 2 and window 31: nu_3(anum_30) = 60 exactly.  A residue
-    # of 0, of valuation 61 or of valuation 59 (whose quotient by 3^60 is
-    # still a unit) sends the rows to the exact recursion, whose rows give
-    # the undoctored report.
+def test_verify_formula_residue_walk_rejects_doctored_residues(monkeypatch, m, value) -> None:
+    # Case 6 with shift s = 2 and e = nu_3(6N) = 4 = 2s, so the closed test
+    # reads both columns.  P_1(0) of 0, of valuation s + 1 or of valuation
+    # s - 1, or P_2(0) a unit, fails it and sends the rows to the exact
+    # recursion, whose rows give the undoctored report.
     t = validate_triple(0, 1, 26, 27)
     expected = verify_formula(t, 3, n_max=60)
     assert expected.verdict == "formula-verified"
     assert expected.case.delta + int_valuation(6 * t.N, 3) == 2
-    real_frobenius = vvmf3.valuation._frobenius
+    assert int_valuation(6 * t.N, 3) == 4
     calls = []
-
-    def doctored_residues(sys, lead, T, modulus, window):
-        calls.append("_frobenius")
-        residues = real_frobenius(sys, lead, T, modulus, window)
-        assert int_valuation(residues[30], 3) == 60
-        residues[30] = doctor(residues[30]) % modulus
-        return residues
 
     def spy(sys, lead, order=None):
         calls.append("component_series")
         return component_series(sys, lead, order)
 
-    monkeypatch.setattr(vvmf3.valuation, "_frobenius", doctored_residues)
+    _doctored_build(monkeypatch, expected.lead, m, value)
     monkeypatch.setattr(vvmf3.valuation, "component_series", spy)
     assert verify_formula(t, 3, n_max=60) == expected
-    assert calls == ["_frobenius", "component_series"]
+    assert calls == ["component_series"]
 
 
 # Beyond N <= 30: the exact path of cases 3a, 7 and 8 where the law is
-# inapplicable, and the window w > 1 where it applies with shift > 0
+# inapplicable, and the closed test where it applies with shift > 0
 # (case 6 at 54, 5 at 125, 3a at 343, 8 at 512, 6 and 7 at 2187).
 MODULAR_PINS = [
     (0, 1, 7, 32), (0, 1, 48, 49), (1, 2, 46, 49), (1, 3, 45, 49),
@@ -541,27 +551,41 @@ MODULAR_PINS = [
 ]
 
 
-def test_verify_formula_modular_path_matches_exact_path() -> None:
+def test_verify_formula_modular_path_matches_exact_path(monkeypatch) -> None:
     # At every prime of every level N <= 30, covered or not, and of the pins:
-    # the rows against rows built from the exact recursion, the observed
-    # column against the reduced Fractions, and the windowed residues mod p^K
-    # against the exact numerators.
+    # the rows against rows built from the exact recursion, and the observed
+    # column against the reduced Fractions.  Every applicable pair takes the
+    # closed test's path: no component_series call and no c_k built.
     T = 60
     triples = [t for big_n in range(2, 31) for t in enumerate_level(big_n)]
     triples += [validate_triple(*tup) for tup in MODULAR_PINS]
-    windows = set()
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(vvmf3.valuation, "component_series",
+                        spy("component_series", component_series))
+    monkeypatch.setattr(vvmf3.mde, "_recursion_c", spy("_recursion_c", _recursion_c))
+    shifted, tight = set(), set()
     for t in triples:
         mde = build_mde(t, T)
         exact = {}  # per lead
         for p, _ in prime_factors(t.N):
+            calls.clear()
             report = verify_formula(t, p, n_max=T)
+            made = list(calls)
             if report.lead not in exact:
                 exact[report.lead] = (
                     reference_unreduced(mde, report.lead, T),
                     component_series(mde, report.lead, T).coeffs,
                 )
             (anum, c), coeffs = exact[report.lead]
-            shift = report.case.delta + int_valuation(6 * t.N, p) if report.applicable else None
+            e = int_valuation(6 * t.N, p)
+            shift = report.case.delta + e if report.applicable else None
             expected = [
                 (n, int_valuation(anum[n], p) - d, n * shift - d if shift is not None else None)
                 for n, d in enumerate(accumulate(int_valuation(ck, p) for ck in c[1:]), 1)
@@ -573,47 +597,55 @@ def test_verify_formula_modular_path_matches_exact_path() -> None:
             if shift is None:
                 continue
             assert report.verdict == "formula-verified"
-            k = T * shift + 1
-            w = min(T, -(-k // int_valuation(6 * t.N, p)))
-            residues = _frobenius(build_mde(t, w), report.lead, T, p**k, w)
-            assert residues == [a % p**k for a in anum], (t, p)
-            windows.add((report.case.case_id, shift, w))
-    assert {case_id for case_id, shift, w in windows if shift > 0 and w > 1} == {3, 5, 6, 7, 8}
+            assert made == [], (t, p)
+            if shift > 0:
+                shifted.add(report.case.case_id)
+            if e == 2 * shift:
+                tight.add(((t.A, t.B, t.C, t.N), p))
+    assert shifted == {3, 5, 6, 7, 8}
+    # e = 2 shift: the closed test reads P_2 at p = 2 and at p = 3.
+    assert {((0, 1, 127, 512), 2), ((0, 1, 26, 27), 3)} <= tight
 
 
 @pytest.mark.parametrize("n_max", [1, 2])
 @pytest.mark.parametrize(
-    "tup, p, windows",
-    [((1, 3, 7, 11), 11, (1, 1)), ((0, 1, 26, 27), 3, (1, 2))],
-    ids=["level-11", "level-27"],
+    "tup, p", [((1, 3, 7, 11), 11), ((0, 1, 26, 27), 3)], ids=["level-11", "level-27"]
 )
-def test_frobenius_at_the_shortest_orders(tup, p, windows, n_max) -> None:
-    # n_max = 1 and 2, where the column of the running product (window 1)
-    # and the Horner window (window 2 at level 27, shift 2) are shortest:
-    # the residues against the exact numerators mod p^K, the rows against
-    # the reduced Fractions of component_series.
+def test_frobenius_at_the_shortest_orders(monkeypatch, tup, p, n_max) -> None:
+    # n_max = 1 and 2, where the closed test reads the shortest columns:
+    # P_1(0) alone at n_max = 1, then P_1(0), P_1(1) and, where e = 2 shift
+    # (level 27), P_2(0).  The rows against the exact numerators and the
+    # reduced Fractions; a P_2(0) doctored to a unit leaves the closed path
+    # only where the test reads it.
     t = validate_triple(*tup)
     report = verify_formula(t, p, n_max=n_max)
     assert report.verdict == "formula-verified"
-    e = int_valuation(6 * t.N, p)
-    k = n_max * (report.case.delta + e) + 1
-    w = min(n_max, -(-k // e))
-    assert w == windows[n_max - 1]
-    anum, _ = reference_unreduced(build_mde(t, n_max), report.lead, n_max)
-    residues = _frobenius(build_mde(t, w), report.lead, n_max, p**k, w)
-    assert residues == [a % p**k for a in anum]
+    anum, c = reference_unreduced(build_mde(t, n_max), report.lead, n_max)
     coeffs = component_series(build_mde(t, n_max), report.lead).coeffs
-    assert [(n, obs) for n, obs, _ in report.rows] == [
-        (n, valuation_p(coeffs[n], p)) for n in range(1, n_max + 1)
+    shift = report.case.delta + int_valuation(6 * t.N, p)
+    assert list(report.rows) == [
+        (n, valuation_p(coeffs[n], p), n * shift - d)
+        for n, d in enumerate(accumulate(int_valuation(ck, p) for ck in c[1:]), 1)
     ]
+    assert [int_valuation(a, p) for a in anum] == [n * shift for n in range(n_max + 1)]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return component_series(*args, **kwargs)
+
+    _doctored_build(monkeypatch, report.lead, 2, 1)
+    monkeypatch.setattr(vvmf3.valuation, "component_series", spy)
+    assert verify_formula(t, p, n_max=n_max) == report
+    # Only level 27 has e = 2 shift, and only n_max = 2 reads P_2(0) there.
+    assert len(calls) == (tup == (0, 1, 26, 27) and n_max == 2)
 
 
 @pytest.mark.parametrize(
     "tup, p, n_max",
     [
         ((1, 3, 7, 11), 11, 1000),
-        # K = 1 and nu_11(6N) = 2: the window ceil(K / 2) = 1 reads the
-        # diagonal term, where floor(K / 2) = 0 would read none.
+        # nu_11(6N) = 2 and shift 0: P_1 alone decides, P_2 is not read.
         ((0, 1, 120, 121), 11, 100),
     ],
     ids=["level-11", "level-121"],
@@ -632,7 +664,7 @@ def test_verify_formula_stays_on_modular_path(monkeypatch, tup, p, n_max) -> Non
 
 
 def test_verify_formula_stays_on_modular_path_with_shift(monkeypatch) -> None:
-    # Shift 2: the residue walk accepts nu_3(anum_n) = 2n on every row.
+    # Shift 2: the closed test accepts nu_3(P_1(j)) = 2 on every row.
     def boom(*args, **kwargs):
         raise AssertionError("component_series called")
 
@@ -642,8 +674,8 @@ def test_verify_formula_stays_on_modular_path_with_shift(monkeypatch) -> None:
 
 
 def test_verify_formula_builds_c_only_past_window_one(monkeypatch) -> None:
-    # At window 1 (shift 0, p = 11) _frobenius reads no c_k; at window 31
-    # (shift 2, p = 3) it reads c_1..c_59.
+    # The closed test reads P_1 and P_2 only: no c_k is built, at shift 0
+    # (p = 11) or at shift 2 (p = 3).
     built = []
 
     def spy(t, lead, T):
@@ -653,10 +685,9 @@ def test_verify_formula_builds_c_only_past_window_one(monkeypatch) -> None:
     monkeypatch.setattr(vvmf3.mde, "_recursion_c", spy)
     assert verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=100).verdict \
         == "formula-verified"
-    assert built == []
     assert verify_formula(validate_triple(0, 1, 26, 27), 3, n_max=60).verdict \
         == "formula-verified"
-    assert built == [60]
+    assert built == []
 
 
 @pytest.mark.parametrize("tup, p", [((1, 3, 7, 11), 11), ((0, 1, 26, 54), 3)])

@@ -75,35 +75,36 @@ MUTANTS = (
         ("tests/test_arith.py", ORACLE),
     ),
     (
-        "verify_formula_window_floor",
+        "closed_test_divisibility_only",
         "src/vvmf3/valuation.py",
-        "w = min(n_max, -(-k // nu_6n))",
-        "w = min(n_max, k // nu_6n)",
-        "a window floor(K / e) misses the diagonal term at K = 1, e = 2; "
-        "verify_formula then falls back to the exact recursion",
+        "x % unit == 0 and x // unit % p for x in",
+        "x % unit == 0 for x in",
+        "accepts nu_p(P_1(j)) >= shift where the closed test needs equality, "
+        "so a P_1(j) of higher valuation, or zero, passes for the law",
         "killed",
-        ("tests/test_valuation.py::test_verify_formula_stays_on_modular_path",),
+        ("tests/test_valuation.py::test_verify_formula_residue_walk_rejects_doctored_residues",),
     ),
     (
-        "running_product_without_sign",
-        "src/vvmf3/mde.py",
-        "lambda a, x: -a * x % modulus",
-        "lambda a, x: a * x % modulus",
-        "drops the sign of the window-1 running product: every residue of odd n "
-        "is negated, which leaves each row's divisibility and so every verdict "
-        "as it was",
+        "closed_test_e_at_twice_shift",
+        "src/vvmf3/valuation.py",
+        "e > 2 * shift or",
+        "e >= 2 * shift or",
+        "skips the P_2 column where e = 2 shift, the one place its term can "
+        "reach the valuation n * shift",
         "killed",
-        ("tests/test_valuation.py::test_verify_formula_modular_path_matches_exact_path",),
+        ("tests/test_valuation.py::test_verify_formula_residue_walk_rejects_doctored_residues",
+         "tests/test_valuation.py::test_frobenius_at_the_shortest_orders"),
     ),
     (
-        "row_test_power_reset",
+        "closed_test_shift_plus_one",
         "src/vvmf3/valuation.py",
-        "q *= step",
-        "q = step",
-        "tests every row n >= 1 against p^shift, not p^(n * shift); at shift 0 "
-        "that is the same power",
+        "unit = build_mde(t, 2), p**shift",
+        "unit = build_mde(t, 2), p**(shift + 1)",
+        "tests P_1(j) against p^(shift + 1): no pair passes, and every row "
+        "goes to the exact recursion",
         "killed",
-        ("tests/test_valuation.py::test_verify_formula_stays_on_modular_path_with_shift",),
+        ("tests/test_valuation.py::test_verify_formula_stays_on_modular_path",
+         "tests/test_valuation.py::test_verify_formula_stays_on_modular_path_with_shift"),
     ),
     (
         "blocks_over_final_lcm",
