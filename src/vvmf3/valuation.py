@@ -14,10 +14,13 @@ a = lead, is a product of four factors, three of them linear in k; p^e
 divides each on one arithmetic progression of k, which _law counts for both
 predicted_valuation and verify_formula.  Since a(n) = anum_n / (c_1 ... c_n)
 for integers anum_n, the law is equivalent to nu_p(anum_n) = n * shift,
-shift = delta + nu_p(6N) = nu_p(z_0) + nu_p(6).  By the ultrametric
-inequality verify_formula decides that in closed form, from the valuations
-of the first two recursion polynomials P_1 and P_2 at j < n_max; observed
-valuations otherwise come from the reduced coefficients of component_series.
+shift = delta + nu_p(6N) = nu_p(z_0) + nu_p(6).  The ultrametric inequality
+proves this for every n: in the recursion for anum_n the term through
+P_1(j) = 6 z_j has valuation exactly n * shift and every term through a
+later P_m a higher one (verify_formula carries the proof).  So
+verify_formula reports the law's column without running the recursion; where
+the law is inapplicable, observed valuations come from the reduced
+coefficients of component_series.
 A prime passing reps.ubd_criterion therefore certifies unbounded
 denominators at desk scale; the module also profiles observed denominators
 directly.
@@ -29,10 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .arith import INFINITY, ValuationValue, int_valuation, is_prime, prime_factors
-from .mde import MDESystem, build_mde, component_series
+from .mde import build_mde, component_series
 from .qseries import QExpansion
 from .reps import RepTriple, _case_table
 
@@ -90,13 +93,11 @@ class PrimeCase:
 class ValuationReport:
     """Observed versus predicted nu_p(a(n)) rows plus a verdict.
 
-    verdict is "formula-verified" only when the case is covered, the
-    nu_p(N) > 2 nu_p(z_0) hypothesis holds, and every row matches exactly.
-    "inapplicable" means the law makes no claim (uncovered case, no leading
-    role, or hypothesis failure); the rows then carry observations with
-    predicted = None.  A mismatch falls back to the observation rule of
-    :class:`DenominatorProfile`: "empirically-unbounded" where it sees a
-    decreasing pattern, else "bounded-in-window".
+    verdict is "formula-verified" when the case is covered and the
+    nu_p(N) > 2 nu_p(z_0) hypothesis holds: the law is then proved for every
+    n, and the rows are its column.  "inapplicable" means the law makes no
+    claim (uncovered case, no leading role, or hypothesis failure); the rows
+    then carry observations with predicted = None.
     """
 
     triple: RepTriple
@@ -249,36 +250,33 @@ def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     return _law(t, lead, p, _delta_for_lead(t, classify_prime(t, p), lead), n)[-1]
 
 
-def _column(sys: MDESystem, lead: int, m: int, n: int) -> Iterator[int]:
-    """P_m(j) = 6N^3 phi_m(lead/N + j) = h2[m] u (u - N) + h1[m] u + h0[m],
-    u = lead + j N, for j = 0..n-1."""
-    h2, h1, h0, big_n = sys.h2[m], sys.h1[m], sys.h0[m], sys.triple.N
-    return ((h2 * (u - big_n) + h1) * u + h0 for u in range(lead, lead + n * big_n, big_n))
-
-
 def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> ValuationReport:
     """Compare observed nu_p(a(n)) against the law for 1 <= n <= n_max (>= 1).
 
-    Where the law applies it is nu_p(anum_n) = n * s, s = shift, for the
-    numerators of a(n) = anum_n / (c_1 ... c_n), and a closed test on the
-    order-2 system decides every row at once.  With e = nu_p(6N) and
-    P_m(j) = 6N^3 phi_m(lead/N + j), the rows hold when
+    Where the law applies it holds for every n >= 1, so the observed column
+    is the law's column and n_max only bounds the rows reported.  Write
+    a(n) = anum_n / (c_1 ... c_n) and s = shift = nu_p(z_0) + nu_p(6); the law
+    is nu_p(anum_n) = n s.  With e = nu_p(6N) and
+    P_m(j) = 6N^3 phi_m(lead/N + j), the recursion reads
 
-    1. nu_p(P_1(j)) = s for every j < n_max, and
-    2. e > 2s, or p | P_2(j) for every j < n_max - 1.
+        anum_n = -sum_{j<n} anum_j P_{n-j}(j) c_{j+1} ... c_{n-1}.
 
-    In anum_n = -sum_{j<n} anum_j P_{n-j}(j) c_{j+1} ... c_{n-1}, take
-    nu_p(anum_j) = j s for j < n; every c_k has nu_p(c_k) >= e, so the term
-    of j = n - m has valuation at least (n - m) s + nu_p(P_m(n - m)) + (m - 1) e.
-    The hypothesis nu_p(N) > 2 nu_p(z_0) gives e >= 2s + 1 for p >= 5 and
-    e >= 2s for p = 2, 3, and e >= 1 as p | N.  So every term of m >= 3
-    exceeds n s, and so does that of m = 2 unless e = 2s and p does not
-    divide P_2(n - 2).  By the ultrametric inequality row n then holds
-    exactly when nu_p(P_1(n - 1)) = s.  For p >= 5 the test is equivalent to
-    the rows; for p = 2, 3 it is sufficient.  Since P_1(j) = 6 z_j, test 1
-    also checks build_mde against z_n_value.  When the law is inapplicable,
-    or the test fails, the observed column is read from the reduced
-    coefficients of component_series.
+    Take nu_p(anum_j) = j s for j < n; every c_k has nu_p(c_k) >= e, so the
+    term of j = n - m has valuation at least (n - m) s + nu_p(P_m(n - m)) +
+    (m - 1) e.  For m = 1 it is exactly n s: P_1(j) = 6 z_j is a polynomial
+    identity and nu_p(z_j) = nu_p(z_0), so nu_p(P_1(j)) = s.  Every term of
+    m >= 2 exceeds n s:
+
+    - for p >= 5 the hypothesis nu_p(N) > 2 nu_p(z_0) is e > 2s, so
+      (m - 1) e > m s;
+    - for p = 2, 3 it gives e >= 2s, and 6 divides every h_j[m] with m >= 1
+      (h_j[m] / 6 is an integer polynomial in N, the triple's invariants, m
+      and sigma_1, sigma_3, sigma_5 of m), so p | P_m(j) and
+      (m - 1) e + 1 > m s.
+
+    By the ultrametric inequality nu_p(anum_n) = n s; tests/test_sympy_oracle.py
+    expands both identities.  Where the law is inapplicable the observed
+    column is read from the reduced coefficients of component_series.
     """
     if n_max < 1:
         raise ValueError(f"verify_formula needs n_max >= 1, got {n_max}")
@@ -290,37 +288,18 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
     except FormulaInapplicable as exc:
         applicable, reason = False, str(exc)
 
-    predicted: list[Optional[int]] = [None] * n_max
-    observed: Optional[list[ValuationValue]] = None
     if applicable:
-        predicted = _law(t, lead, p, delta, n_max)
-        e = int_valuation(6 * t.N, p)
-        shift = delta + e
-        sys, unit = build_mde(t, 2), p**shift
-        if all(x % unit == 0 and x // unit % p for x in _column(sys, lead, 1, n_max)) and (
-            e > 2 * shift or all(x % p == 0 for x in _column(sys, lead, 2, n_max - 1))
-        ):
-            observed = predicted
-    if observed is None:
+        observed = predicted = _law(t, lead, p, delta, n_max)
+    else:
         series = component_series(build_mde(t, n_max), lead)
         observed = _coeff_valuations(map(Fraction.as_integer_ratio, series.coeffs[1:]), p)
-    rows = tuple(zip(range(1, n_max + 1), observed, predicted))
-
-    if not applicable:
-        verdict = "inapplicable"
-    elif observed == predicted:
-        verdict = "formula-verified"
-    # Prepend nu_p(a(0)) = 0 so that the index of each valuation is its n.
-    elif _late_new_minimum(_prime_stats(p, enumerate([0] + observed), n_max), n_max):
-        verdict = "empirically-unbounded"
-    else:
-        verdict = "bounded-in-window"
+        predicted = [None] * n_max
     return ValuationReport(
         triple=t,
         prime=p,
         lead=lead,
-        rows=rows,
-        verdict=verdict,
+        rows=tuple(zip(range(1, n_max + 1), observed, predicted)),
+        verdict="formula-verified" if applicable else "inapplicable",
         case=case,
         applicable=applicable,
         reason=reason,

@@ -1,6 +1,5 @@
 """Prime classification, the valuation law, and denominator profiles."""
 
-import dataclasses
 from fractions import Fraction
 from itertools import accumulate, chain
 
@@ -461,87 +460,8 @@ def test_denominator_profile_matches_hypergeometric_minima() -> None:
     assert (pairs, skipped, negative) == (4240, 350, 1430)
 
 
-def _doctored_build(monkeypatch, lead: int, m: int, value: int) -> None:
-    """Make the first system verify_formula builds, the order-2 one of the
-    closed test, read P_m(0) = value: h0[m] moves by value - P_m(0), so every
-    P_m(j) moves with it.  The system the exact path builds stays as it is."""
-    built = []
-
-    def doctored(t, order):
-        sys = build_mde(t, order)
-        built.append(order)
-        if len(built) > 1:
-            return sys
-        assert order == 2
-        p_m0 = 6 * t.N**3 * phi_j(sys, m, Fraction(lead, t.N))
-        assert p_m0.denominator == 1
-        h0 = list(sys.h0)
-        h0[m] += value - p_m0.numerator
-        return dataclasses.replace(sys, h0=tuple(h0))
-
-    monkeypatch.setattr(vvmf3.valuation, "build_mde", doctored)
-
-
-@pytest.mark.parametrize(
-    "doctor, verdict",
-    [
-        # Row 1 off the law; the minimum keeps falling to n = 20.
-        (lambda cs: [cs[0], cs[1] * 11] + cs[2:], "empirically-unbounded"),
-        # Last new minimum at n = 20 - max(1, 2) = 18: still late.
-        (lambda cs: cs[:19] + [Fraction(1)] * 2, "empirically-unbounded"),
-        # Last new minimum at n = 17: early, so no pattern.
-        (lambda cs: cs[:18] + [Fraction(1)] * 3, "bounded-in-window"),
-    ],
-    ids=["row-1-off", "late-at-boundary", "early"],
-)
-def test_verify_formula_mismatch_verdict(monkeypatch, doctor, verdict) -> None:
-    t = validate_triple(1, 3, 7, 11)
-    real = component_series(build_mde(t, 20), 1, 20)
-    doctored = QExpansion(real.exponent, doctor(list(real.coeffs)))
-    calls = []
-
-    def doctored_series(sys, lead, order=None):
-        calls.append("component_series")
-        return doctored
-
-    # P_1(0) = 0 fails the closed test, so the exact recursion supplies the rows.
-    _doctored_build(monkeypatch, 1, 1, 0)
-    monkeypatch.setattr(vvmf3.valuation, "component_series", doctored_series)
-    report = verify_formula(t, 11, n_max=20)
-    assert calls == ["component_series"]
-    assert report.applicable
-    assert report.verdict == verdict
-
-
-@pytest.mark.parametrize(
-    "m, value",
-    [(1, 0), (1, 3**3), (1, 3), (2, 1)],
-    ids=["zero", "extra-factor", "missing-factor", "p2-unit"],
-)
-def test_verify_formula_residue_walk_rejects_doctored_residues(monkeypatch, m, value) -> None:
-    # Case 6 with shift s = 2 and e = nu_3(6N) = 4 = 2s, so the closed test
-    # reads both columns.  P_1(0) of 0, of valuation s + 1 or of valuation
-    # s - 1, or P_2(0) a unit, fails it and sends the rows to the exact
-    # recursion, whose rows give the undoctored report.
-    t = validate_triple(0, 1, 26, 27)
-    expected = verify_formula(t, 3, n_max=60)
-    assert expected.verdict == "formula-verified"
-    assert expected.case.delta + int_valuation(6 * t.N, 3) == 2
-    assert int_valuation(6 * t.N, 3) == 4
-    calls = []
-
-    def spy(sys, lead, order=None):
-        calls.append("component_series")
-        return component_series(sys, lead, order)
-
-    _doctored_build(monkeypatch, expected.lead, m, value)
-    monkeypatch.setattr(vvmf3.valuation, "component_series", spy)
-    assert verify_formula(t, 3, n_max=60) == expected
-    assert calls == ["component_series"]
-
-
 # Beyond N <= 30: the exact path of cases 3a, 7 and 8 where the law is
-# inapplicable, and the closed test where it applies with shift > 0
+# inapplicable, and the law's column where it applies with shift > 0
 # (case 6 at 54, 5 at 125, 3a at 343, 8 at 512, 6 and 7 at 2187).
 MODULAR_PINS = [
     (0, 1, 7, 32), (0, 1, 48, 49), (1, 2, 46, 49), (1, 3, 45, 49),
@@ -554,8 +474,8 @@ MODULAR_PINS = [
 def test_verify_formula_modular_path_matches_exact_path(monkeypatch) -> None:
     # At every prime of every level N <= 30, covered or not, and of the pins:
     # the rows against rows built from the exact recursion, and the observed
-    # column against the reduced Fractions.  Every applicable pair takes the
-    # closed test's path: no component_series call and no c_k built.
+    # column against the reduced Fractions.  Every applicable pair reports
+    # the law's column: no component_series call and no c_k built.
     T = 60
     triples = [t for big_n in range(2, 31) for t in enumerate_level(big_n)]
     triples += [validate_triple(*tup) for tup in MODULAR_PINS]
@@ -603,7 +523,7 @@ def test_verify_formula_modular_path_matches_exact_path(monkeypatch) -> None:
             if e == 2 * shift:
                 tight.add(((t.A, t.B, t.C, t.N), p))
     assert shifted == {3, 5, 6, 7, 8}
-    # e = 2 shift: the closed test reads P_2 at p = 2 and at p = 3.
+    # e = 2 shift, where the proof needs p | P_2, at p = 2 and at p = 3.
     assert {((0, 1, 127, 512), 2), ((0, 1, 26, 27), 3)} <= tight
 
 
@@ -611,12 +531,10 @@ def test_verify_formula_modular_path_matches_exact_path(monkeypatch) -> None:
 @pytest.mark.parametrize(
     "tup, p", [((1, 3, 7, 11), 11), ((0, 1, 26, 27), 3)], ids=["level-11", "level-27"]
 )
-def test_frobenius_at_the_shortest_orders(monkeypatch, tup, p, n_max) -> None:
-    # n_max = 1 and 2, where the closed test reads the shortest columns:
-    # P_1(0) alone at n_max = 1, then P_1(0), P_1(1) and, where e = 2 shift
-    # (level 27), P_2(0).  The rows against the exact numerators and the
-    # reduced Fractions; a P_2(0) doctored to a unit leaves the closed path
-    # only where the test reads it.
+def test_frobenius_at_the_shortest_orders(tup, p, n_max) -> None:
+    # n_max = 1 and 2, the shortest windows, at shift 0 and at e = 2 shift
+    # (level 27, where the proof needs 3 | P_2): the rows against the exact
+    # numerators and the reduced Fractions.
     t = validate_triple(*tup)
     report = verify_formula(t, p, n_max=n_max)
     assert report.verdict == "formula-verified"
@@ -628,66 +546,33 @@ def test_frobenius_at_the_shortest_orders(monkeypatch, tup, p, n_max) -> None:
         for n, d in enumerate(accumulate(int_valuation(ck, p) for ck in c[1:]), 1)
     ]
     assert [int_valuation(a, p) for a in anum] == [n * shift for n in range(n_max + 1)]
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return component_series(*args, **kwargs)
-
-    _doctored_build(monkeypatch, report.lead, 2, 1)
-    monkeypatch.setattr(vvmf3.valuation, "component_series", spy)
-    assert verify_formula(t, p, n_max=n_max) == report
-    # Only level 27 has e = 2 shift, and only n_max = 2 reads P_2(0) there.
-    assert len(calls) == (tup == (0, 1, 26, 27) and n_max == 2)
 
 
 @pytest.mark.parametrize(
     "tup, p, n_max",
     [
         ((1, 3, 7, 11), 11, 1000),
-        # nu_11(6N) = 2 and shift 0: P_1 alone decides, P_2 is not read.
+        # nu_11(6N) = 2 and shift 0.
         ((0, 1, 120, 121), 11, 100),
+        # shift 2 and e = nu_3(6N) = 4 = 2 shift.
+        ((0, 1, 26, 27), 3, 60),
     ],
-    ids=["level-11", "level-121"],
+    ids=["level-11", "level-121", "level-27"],
 )
 def test_verify_formula_stays_on_modular_path(monkeypatch, tup, p, n_max) -> None:
-    calls = []
+    # An applicable pair reports the law's column: no system, no series and
+    # no c_k is built.
+    def boom(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return fail
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return component_series(*args, **kwargs)
-
-    monkeypatch.setattr(vvmf3.valuation, "component_series", spy)
+    for module, name in ((vvmf3.valuation, "build_mde"),
+                         (vvmf3.valuation, "component_series"),
+                         (vvmf3.mde, "_recursion_c")):
+        monkeypatch.setattr(module, name, boom(name))
     report = verify_formula(validate_triple(*tup), p, n_max=n_max)
     assert report.verdict == "formula-verified"
-    assert calls == []
-
-
-def test_verify_formula_stays_on_modular_path_with_shift(monkeypatch) -> None:
-    # Shift 2: the closed test accepts nu_3(P_1(j)) = 2 on every row.
-    def boom(*args, **kwargs):
-        raise AssertionError("component_series called")
-
-    monkeypatch.setattr(vvmf3.valuation, "component_series", boom)
-    report = verify_formula(validate_triple(0, 1, 26, 27), 3, n_max=60)
-    assert report.verdict == "formula-verified"
-
-
-def test_verify_formula_builds_c_only_past_window_one(monkeypatch) -> None:
-    # The closed test reads P_1 and P_2 only: no c_k is built, at shift 0
-    # (p = 11) or at shift 2 (p = 3).
-    built = []
-
-    def spy(t, lead, T):
-        built.append(T)
-        return _recursion_c(t, lead, T)
-
-    monkeypatch.setattr(vvmf3.mde, "_recursion_c", spy)
-    assert verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=100).verdict \
-        == "formula-verified"
-    assert verify_formula(validate_triple(0, 1, 26, 27), 3, n_max=60).verdict \
-        == "formula-verified"
-    assert built == []
 
 
 @pytest.mark.parametrize("tup, p", [((1, 3, 7, 11), 11), ((0, 1, 26, 54), 3)])

@@ -75,36 +75,42 @@ MUTANTS = (
         ("tests/test_arith.py", ORACLE),
     ),
     (
-        "closed_test_divisibility_only",
+        "law_hypothesis_at_equality",
         "src/vvmf3/valuation.py",
-        "x % unit == 0 and x // unit % p for x in",
-        "x % unit == 0 for x in",
-        "accepts nu_p(P_1(j)) >= shift where the closed test needs equality, "
-        "so a P_1(j) of higher valuation, or zero, passes for the law",
+        "if not nu_level > 2 * vz:",
+        "if not nu_level >= 2 * vz:",
+        "accepts nu_p(N) = 2 nu_p(z_0), outside the proof, and reports the "
+        "law's column there as formula-verified",
         "killed",
-        ("tests/test_valuation.py::test_verify_formula_residue_walk_rejects_doctored_residues",),
+        ("tests/test_valuation.py::test_predicted_valuation_inapplicability",),
     ),
     (
-        "closed_test_e_at_twice_shift",
+        "progression_start_off_by_one",
         "src/vvmf3/valuation.py",
-        "e > 2 * shift or",
-        "e >= 2 * shift or",
-        "skips the P_2 column where e = 2 shift, the one place its term can "
-        "reach the valuation n * shift",
+        "(-beta * pow(alpha, -1, q) - 1) % q",
+        "(-beta * pow(alpha, -1, q)) % q",
+        "starts each progression at index k in place of k - 1, one step late",
         "killed",
-        ("tests/test_valuation.py::test_verify_formula_residue_walk_rejects_doctored_residues",
-         "tests/test_valuation.py::test_frobenius_at_the_shortest_orders"),
+        ("tests/test_valuation.py::test_progression_valuations_match_direct_valuations",),
     ),
     (
-        "closed_test_shift_plus_one",
+        "law_without_k_factor",
         "src/vvmf3/valuation.py",
-        "unit = build_mde(t, 2), p**shift",
-        "unit = build_mde(t, 2), p**(shift + 1)",
-        "tests P_1(j) against p^(shift + 1): no pair passes, and every row "
-        "goes to the exact recursion",
+        "forms = ((1, 0), (t.N, lead - b), (t.N, lead - c))",
+        "forms = ((t.N, lead - b), (t.N, lead - c))",
+        "drops the factor k of c_k from the law's column",
         "killed",
-        ("tests/test_valuation.py::test_verify_formula_stays_on_modular_path",
-         "tests/test_valuation.py::test_verify_formula_stays_on_modular_path_with_shift"),
+        ("tests/test_valuation.py::test_law_matches_reference_law",),
+    ),
+    (
+        "build_mde_h0_one_factor_m",
+        "src/vvmf3/mde.py",
+        "72 * m * m * p3 * e2[m]",
+        "72 * m * p3 * e2[m]",
+        "drops one factor m from the E2 term of h0; every h0[m] stays an "
+        "integer, and h0[1] is unchanged",
+        "killed",
+        ("tests/test_sympy_oracle.py::test_restated_h_and_six_z_match_build_mde",),
     ),
     (
         "blocks_over_final_lcm",
