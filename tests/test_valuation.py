@@ -548,18 +548,7 @@ def test_frobenius_at_the_shortest_orders(tup, p, n_max) -> None:
     assert [int_valuation(a, p) for a in anum] == [n * shift for n in range(n_max + 1)]
 
 
-@pytest.mark.parametrize(
-    "tup, p, n_max",
-    [
-        ((1, 3, 7, 11), 11, 1000),
-        # nu_11(6N) = 2 and shift 0.
-        ((0, 1, 120, 121), 11, 100),
-        # shift 2 and e = nu_3(6N) = 4 = 2 shift.
-        ((0, 1, 26, 27), 3, 60),
-    ],
-    ids=["level-11", "level-121", "level-27"],
-)
-def test_verify_formula_stays_on_modular_path(monkeypatch, tup, p, n_max) -> None:
+def _forbid_system(monkeypatch) -> None:
     # An applicable pair reports the law's column: no system, no series and
     # no c_k is built.
     def boom(name):
@@ -571,8 +560,44 @@ def test_verify_formula_stays_on_modular_path(monkeypatch, tup, p, n_max) -> Non
                          (vvmf3.valuation, "component_series"),
                          (vvmf3.mde, "_recursion_c")):
         monkeypatch.setattr(module, name, boom(name))
+
+
+@pytest.mark.parametrize(
+    "tup, p, n_max",
+    [
+        ((1, 3, 7, 11), 11, 1000),
+        # nu_11(6N) = 2 and shift 0.
+        ((0, 1, 120, 121), 11, 100),
+    ],
+    ids=["level-11", "level-121"],
+)
+def test_verify_formula_stays_on_modular_path(monkeypatch, tup, p, n_max) -> None:
+    _forbid_system(monkeypatch)
     report = verify_formula(validate_triple(*tup), p, n_max=n_max)
     assert report.verdict == "formula-verified"
+
+
+def test_verify_formula_stays_on_modular_path_with_shift(monkeypatch) -> None:
+    # Shift 2 and e = nu_3(6N) = 4 = 2 shift, where the proof needs 3 | P_2.
+    _forbid_system(monkeypatch)
+    report = verify_formula(validate_triple(0, 1, 26, 27), 3, n_max=60)
+    assert report.verdict == "formula-verified"
+
+
+def test_verify_formula_builds_c_only_past_window_one(monkeypatch) -> None:
+    # No c_k is built, at shift 0 (p = 11) or at shift 2 (p = 3).
+    built = []
+
+    def spy(t, lead, T):
+        built.append(T)
+        return _recursion_c(t, lead, T)
+
+    monkeypatch.setattr(vvmf3.mde, "_recursion_c", spy)
+    assert verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=100).verdict \
+        == "formula-verified"
+    assert verify_formula(validate_triple(0, 1, 26, 27), 3, n_max=60).verdict \
+        == "formula-verified"
+    assert built == []
 
 
 @pytest.mark.parametrize("tup, p", [((1, 3, 7, 11), 11), ((0, 1, 26, 54), 3)])
