@@ -11,16 +11,16 @@ exact law
 delta = nu_p(z_n) - nu_p(N) < 0, a strictly decreasing negative function of n.
 The recursion's c_k = 6N k lambda(k) = 6N * k * (Nk + a - b) * (Nk + a - c),
 a = lead, is a product of four factors, three of them linear in k; p^e
-divides each on one arithmetic progression of k, which _law counts for both
-predicted_valuation and verify_formula.  Since a(n) = anum_n / (c_1 ... c_n)
-for integers anum_n, the law is equivalent to nu_p(anum_n) = n * shift,
-shift = delta + nu_p(6N) = nu_p(z_0) + nu_p(6).  The ultrametric inequality
-proves this for every n: in the recursion for anum_n the term through
-P_1(j) = 6 z_j has valuation exactly n * shift and every term through a
-later P_m a higher one (verify_formula carries the proof).  So
-verify_formula reports the law's column without running the recursion; where
-the law is inapplicable, observed valuations come from the reduced
-coefficients of component_series.
+divides each on one arithmetic progression of k, so _law builds the column
+for predicted_valuation and verify_formula from one list of increments.
+Since a(n) = anum_n / (c_1 ... c_n) for integers anum_n, the law is equivalent
+to nu_p(anum_n) = n * shift, shift = delta + nu_p(6N) = nu_p(z_0) + nu_p(6).
+The ultrametric inequality proves this for every n: in the recursion for
+anum_n the term through P_1(j) = 6 z_j has valuation exactly n * shift and
+every term through a later P_m a higher one (verify_formula carries the
+proof).  So verify_formula reports the law's column without running the
+recursion; where the law is inapplicable, observed valuations come from the
+reduced coefficients of component_series.
 A prime passing reps.ubd_criterion therefore certifies unbounded
 denominators at desk scale; the module also profiles observed denominators
 directly.
@@ -176,8 +176,8 @@ def classify_prime(t: RepTriple, p: int) -> PrimeCase:
     return PrimeCase(p, case_id, subcase, predicted, lead, delta)
 
 
-def _delta_for_lead(t: RepTriple, case: PrimeCase, lead: Optional[int]) -> int:
-    """delta for the given leading role, or FormulaInapplicable.
+def _delta_for_lead(t: RepTriple, case: PrimeCase, lead: Optional[int]) -> tuple[int, int]:
+    """(delta, nu_p(N)) for the given leading role, or FormulaInapplicable.
 
     The hypothesis nu_p(N) > 2 nu_p(z_0) gives nu_p(z_0) < nu_p(N), so
     nu_p(z_n) = nu_p(z_0) for every n.
@@ -188,45 +188,47 @@ def _delta_for_lead(t: RepTriple, case: PrimeCase, lead: Optional[int]) -> int:
     if lead is None:
         raise FormulaInapplicable("no leading role attains the predicted constant z-valuation")
     vz = int_valuation(z_n_value(t, lead, 0), p)
-    nu_level = int_valuation(t.N, p)
+    nu_level = case.predicted_z_valuation - case.delta
     if not nu_level > 2 * vz:
         raise FormulaInapplicable(
             f"hypothesis nu_p(N) > 2 nu_p(z_0) fails: {nu_level} <= {2 * vz}"
         )
-    return vz - nu_level
+    return vz - nu_level, nu_level
 
 
-def _progression_valuations(alpha: int, beta: int, p: int, n: int) -> list[int]:
-    """[nu_p(alpha k + beta) for k = 1..n], for alpha >= 1 and no term zero.
-
-    Every value is nu_p(beta) if that is below nu_p(alpha).  Otherwise, with
-    alpha', beta' the quotients by p^nu_p(alpha), p^e divides alpha' k + beta'
-    exactly on k = -beta' / alpha' mod p^e: nu_p(alpha) plus one along that
-    progression for each p^e <= alpha' n + |beta'|, n/p + n/p^2 + ... steps.
+def _subtract_form(inc: list[int], alpha: int, beta: int, p: int, va: int) -> None:
+    """Subtract nu_p(alpha k + beta) from inc[k - 1], k = 1..n = len(inc), for
+    alpha >= 1, va = nu_p(alpha) and no term zero: nu_p(beta) from every entry
+    if that is below va.  Otherwise, with alpha', beta' the quotients by p^va,
+    p^e divides alpha' k + beta' exactly on k = -beta' / alpha' mod p^e: va
+    from every entry (one list pass), then 1 along that progression for each
+    p^e <= alpha' n + |beta'|, n/p + n/p^2 + ... steps.
     """
-    va, vb = int_valuation(alpha, p), int_valuation(beta, p)
-    if vb < va:
-        return [vb] * n
-    alpha, beta = alpha // p**va, beta // p**va
-    col = [va] * n
+    v = min(va, int_valuation(beta, p)) if beta else va
+    if v:
+        inc[:] = [x - v for x in inc]
+    if v < va:
+        return
+    alpha, beta, n = alpha // p**va, beta // p**va, len(inc)
     bound, q = alpha * n + abs(beta), p
     while q <= bound:
         for i in range((-beta * pow(alpha, -1, q) - 1) % q, n, q):
-            col[i] += 1
+            inc[i] -= 1
         q *= p
-    return col
 
 
-def _law(t: RepTriple, lead: int, p: int, delta: int, n: int) -> list[int]:
+def _law(t: RepTriple, lead: int, p: int, delta: int, nu_level: int, n: int) -> list[int]:
     """The law's column [m * delta - D_m for m = 1..n], D_m = nu_p(prod_{k<=m}
-    k lambda(k)): the factors k, Nk + a - b and Nk + a - c of
-    c_k = 6N * k * (Nk + a - b) * (Nk + a - c), a = lead.  With the fourth,
-    it is m * shift - nu_p(c_1 ... c_m), shift = delta + nu_p(6N).
+    k lambda(k)), nu_level = nu_p(N): the increments delta - nu_p(k lambda(k))
+    from the forms k, Nk + a - b, Nk + a - c of c_k = 6N * k * (Nk + a - b) *
+    (Nk + a - c), a = lead, accumulated once.  With the fourth factor it is
+    m * shift - nu_p(c_1 ... c_m), shift = delta + nu_p(6N).
     """
     b, c = (e for e in (t.A, t.B, t.C) if e != lead)
-    forms = ((1, 0), (t.N, lead - b), (t.N, lead - c))
-    cols = [_progression_valuations(alpha, beta, p, n) for alpha, beta in forms]
-    return [m * delta - d for m, d in enumerate(accumulate(map(sum, zip(*cols))), 1)]
+    inc = [delta] * n
+    for alpha, beta, va in ((1, 0, 0), (t.N, lead - b, nu_level), (t.N, lead - c, nu_level)):
+        _subtract_form(inc, alpha, beta, p, va)
+    return list(accumulate(inc))
 
 
 def _coeff_valuations(fracs: Iterable[tuple[int, int]], p: int) -> list[ValuationValue]:
@@ -247,7 +249,7 @@ def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"predicted_valuation needs n >= 1, got {n}")
-    return _law(t, lead, p, _delta_for_lead(t, classify_prime(t, p), lead), n)[-1]
+    return _law(t, lead, p, *_delta_for_lead(t, classify_prime(t, p), lead), n)[-1]
 
 
 def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> ValuationReport:
@@ -283,17 +285,15 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
     case = classify_prime(t, p)
     lead = case.lead if case.lead is not None else t.A
     try:
-        delta = _delta_for_lead(t, case, case.lead)
-        applicable, reason = True, None
+        delta, nu_level = _delta_for_lead(t, case, case.lead)
     except FormulaInapplicable as exc:
         applicable, reason = False, str(exc)
-
-    if applicable:
-        observed = predicted = _law(t, lead, p, delta, n_max)
-    else:
         series = component_series(build_mde(t, n_max), lead)
         observed = _coeff_valuations(map(Fraction.as_integer_ratio, series.coeffs[1:]), p)
         predicted = [None] * n_max
+    else:
+        applicable, reason = True, None
+        observed = predicted = _law(t, lead, p, delta, nu_level, n_max)
     return ValuationReport(
         triple=t,
         prime=p,

@@ -23,7 +23,7 @@ from vvmf3.valuation import (
     PrimeCase,
     ValuationReport,
     _law,
-    _progression_valuations,
+    _subtract_form,
     classify_prime,
     denominator_profile,
     predicted_valuation,
@@ -215,9 +215,9 @@ def test_progression_valuations_match_direct_valuations(p, i, u, j, v, n) -> Non
     alpha, beta = p**i * u, v * p**j
     # alpha k + beta = 0 at an integer k = -beta / alpha in 1..n has no finite valuation.
     assume(beta % alpha or not 1 <= -beta // alpha <= n)
-    assert _progression_valuations(alpha, beta, p, n) == [
-        int_valuation(alpha * k + beta, p) for k in range(1, n + 1)
-    ]
+    inc = [0] * n
+    _subtract_form(inc, alpha, beta, p, int_valuation(alpha, p))
+    assert inc == [-int_valuation(alpha * k + beta, p) for k in range(1, n + 1)]
 
 
 def test_law_matches_reference_law() -> None:
@@ -235,10 +235,18 @@ def test_law_matches_reference_law() -> None:
         for t in sample_triples(12, level_max=N, level_min=N):
             for p, _ in prime_factors(t.N):
                 pairs += [(t, p, lead, -1, 300) for lead in (t.A, t.B, t.C)]
+    # The shortest columns and the deepest, for every lead of the pins of
+    # tools/verify_timing.py, each lead with its delta = nu_p(z_0) - nu_p(N).
+    for tup, p in (((1, 3, 7, 11), 11), ((0, 1, 26, 27), 3), ((0, 1, 127, 512), 2),
+                   ((1, 2, 340, 343), 7)):
+        t = validate_triple(*tup)
+        pairs += [(t, p, lead, int_valuation(z_n_value(t, lead, 0), p) - int_valuation(t.N, p), n)
+                  for lead in (t.A, t.B, t.C) for n in (1, 2, 1000)]
     assert len(pairs) > 10_000
     for t, p, lead, delta, n in pairs:
         shift = delta + int_valuation(6 * t.N, p)
-        assert _law(t, lead, p, delta, n) == reference_law(p, shift, _recursion_c(t, lead, n))
+        assert _law(t, lead, p, delta, int_valuation(t.N, p), n) \
+            == reference_law(p, shift, _recursion_c(t, lead, n))
 
 
 def test_predicted_valuation_matches_verify_formula_to_400() -> None:

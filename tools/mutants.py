@@ -96,11 +96,42 @@ MUTANTS = (
     (
         "law_without_k_factor",
         "src/vvmf3/valuation.py",
-        "forms = ((1, 0), (t.N, lead - b), (t.N, lead - c))",
-        "forms = ((t.N, lead - b), (t.N, lead - c))",
+        "((1, 0, 0), (t.N, lead - b, nu_level), (t.N, lead - c, nu_level))",
+        "((t.N, lead - b, nu_level), (t.N, lead - c, nu_level))",
         "drops the factor k of c_k from the law's column",
         "killed",
         ("tests/test_valuation.py::test_law_matches_reference_law",),
+    ),
+    (
+        "law_without_constant_valuation",
+        "src/vvmf3/valuation.py",
+        "inc[:] = [x - v for x in inc]",
+        "pass",
+        "skips the list pass that subtracts a form's constant valuation, "
+        "nu_p(alpha) or the smaller nu_p(beta)",
+        "killed",
+        ("tests/test_valuation.py::test_law_matches_reference_law",),
+    ),
+    (
+        "rows_second_difference_halved",
+        "src/vvmf3/mde.py",
+        "[2 * s2 * d * d * v for v in h2[first : T + 1]]",
+        "[s2 * d * d * v for v in h2[first : T + 1]]",
+        "drops the factor 2 of the second difference in j of P_m(j), so every "
+        "row from the third on is wrong",
+        "killed",
+        ("tests/test_mde.py::test_component_series_matches_naive_oracle",),
+    ),
+    (
+        "prime_cases_case_5_at_5",
+        "src/vvmf3/reps.py",
+        "(5, None, 1, lambda n, om, pi: n % 25 == 0)",
+        "(5, None, 1, lambda n, om, pi: n % 5 == 0)",
+        "covers 5 | product at levels 5 || N as case 5, whose predicted "
+        "nu_5(z_n) = 1 is not below nu_5(24N) there",
+        "killed",
+        ("tests/test_valuation.py::test_classifier_uncovered_pins",
+         "tests/test_valuation.py::test_classifier_matches_periodic_oracle"),
     ),
     (
         "build_mde_h0_one_factor_m",
@@ -155,6 +186,27 @@ MUTANTS = (
         "lowered by it",
         "killed",
         ("tests/test_valuation.py::test_denominator_profile_matches_hypergeometric_minima",),
+    ),
+    (
+        "prime_stats_counts_index_zero",
+        "src/vvmf3/valuation.py",
+        "later_new_mins += n > 0",
+        "later_new_mins += 1",
+        "counts a new minimum at n = 0 toward strictly_decreasing, which then "
+        "never holds for a series with a(0) = 1",
+        "killed",
+        ("tests/test_valuation.py::test_denominator_profile_unbounded_pattern",
+         "tests/test_valuation.py::test_denominator_profile_matches_dense_reference"),
+    ),
+    (
+        "late_new_minimum_last_fifth",
+        "src/vvmf3/valuation.py",
+        "s.last_new_min_index >= T - max(1, T // 10)",
+        "s.last_new_min_index >= T - max(1, T // 5)",
+        "widens the decreasing-pattern rule from the last tenth of the window "
+        "to the last fifth",
+        "killed",
+        ("tests/test_valuation.py::test_denominator_profile_boundary_of_late_minimum",),
     ),
 )
 
