@@ -19,16 +19,21 @@ its verdict: where the law applies it is proved for every row.
 
 Each subcommand computes and checks its result before anything is written, so
 invalid input never opens --output; then only the requested format is built.
-`scan` renders integer rows, with no RepTriple per row, and each level's few
-classifications once.  Its `csv` streams in constant memory; its `table` and
-`json` hold every row, as five ints and the cells or JSON text of a shared
-classification, to size the columns and to write `count` first.
+`scan` reads each level's rows as (A, B, C, i), i the index of one of the
+level's one to three classifications, and builds no RepTriple.  Per level and
+format it makes one %-template for each classification, holding N and that
+classification's cells or JSON text (each % in them doubled); a row is one %
+of its template with A, B, C and k0, and a level is written as one chunk.
+`csv` streams level by level in constant memory; `table` and `json` hold the
+(A, B, C, i) rows of every level, to size the columns from each level's
+extreme values and to write `count` first, but no rendered row.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -72,16 +77,12 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class _Result:
-    """One computed result and its three views, each built only when rendered.
+    """One computed result and a writer per format; only the requested
+    writer runs, and it writes its text to the stream in chunks."""
 
-    ``json()`` and ``table()`` give the text of their format in chunks; CSV
-    writes ``header`` and then ``rows``, whose ints it formats itself.
-    """
-
-    json: Callable[[], Iterable[str]]
-    table: Callable[[], Iterable[str]]
-    header: tuple[str, ...]
-    rows: Iterable[Sequence[object]]
+    json: Callable[[TextIO], None]
+    csv: Callable[[TextIO], None]
+    table: Callable[[TextIO], None]
 
 
 _ENCODER = json.JSONEncoder(indent=2)
@@ -89,12 +90,21 @@ _ENCODER = json.JSONEncoder(indent=2)
 
 def _result(json_obj: Callable[[], object], header: tuple[str, ...],
             rows: Iterable[Sequence[object]], preamble: Sequence[str] = ()) -> _Result:
-    """The views of a generic result: the JSON encoder's chunks (as json.dump
-    writes them) and the ``preamble`` lines above the aligned rows."""
+    """The writers of a generic result: the JSON encoder's chunks (as
+    json.dump writes them), csv.writer's rows, and the ``preamble`` lines
+    above the aligned rows."""
     cells = ([_fmt(v) for v in row] for row in rows)
-    return _Result(lambda: chain(_ENCODER.iterencode(json_obj()), "\n"),
-                   lambda: (line + "\n" for line in chain(preamble, _aligned(header, cells))),
-                   header, cells)
+
+    def write_csv(out: TextIO) -> None:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(cells)
+
+    def write_table(out: TextIO) -> None:
+        out.writelines(line + "\n" for line in chain(preamble, _aligned(header, cells)))
+
+    return _Result(lambda out: out.writelines(chain(_ENCODER.iterencode(json_obj()), "\n")),
+                   write_csv, write_table)
 
 
 def _fmt(x: object) -> str:
@@ -145,14 +155,28 @@ def _class_cells(cls: Classification) -> tuple[str, ...]:
             _fmt(cls.gamma02_pattern), _spaced(cls.ubd_primes))
 
 
-# One row of scan's json.dump(..., indent=2) output: the triple's five ints
-# and the classification's own dump, re-indented by _class_text.
-_SCAN_ROW = ('    {\n      "triple": {\n        "A": %d,\n        "B": %d,\n        "C": %d,\n'
-             '        "N": %d,\n        "k0": %d\n      },\n      "classification": %s\n    }')
-
-
 def _class_text(cls: Classification) -> str:
     return json.dumps(cls.to_json_dict(), indent=2).replace("\n", "\n      ")
+
+
+def _pct(text: str) -> str:
+    """text with each % doubled, to stand as itself in a %-template."""
+    return text.replace("%", "%%")
+
+
+def _csv_line(cells: Sequence[str]) -> str:
+    """One row as csv.writer writes it, line terminator included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
+
+
+def _json_template(n: int, cls: Classification) -> str:
+    """One row of scan's json.dump(..., indent=2) output at level n with the
+    classification cls, with %d for the triple's A, B, C and k0."""
+    return ('    {\n      "triple": {\n        "A": %d,\n        "B": %d,\n        "C": %d,\n'
+            '        "N": ' + str(n) + ',\n        "k0": %d\n      },\n      "classification": '
+            + _pct(_class_text(cls)) + "\n    }")
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -229,36 +253,62 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
 
     header = ("N", "A", "B", "C", "k0", *_CLASS_FIELDS)
 
-    def scan_rows(view: Callable[[Classification], tuple]) -> Iterator[tuple]:
-        # (N, A, B, C, k0, *view(cls)), view taken once per classification.
+    def levels() -> Iterator[tuple[int, list[Classification], list[tuple[int, int, int, int]]]]:
         for n in range(lo, hi + 1):
-            classes, triples = _classified(n, _admissible(n))
-            views = [view(cls) for cls in classes]
-            yield from [(n, a, b, c, (4 * (a + b + c) - 2 * n) // n, *views[i])
-                        for a, b, c, i in triples]
+            yield (n, *_classified(n, _admissible(n)))
 
-    def json_text() -> Iterator[str]:
-        rows = list(scan_rows(lambda cls: (_class_text(cls),)))
-        yield f'{{\n  "level": {lo},\n  "level_max": {hi},\n  "count": {len(rows)},\n  "rows": ['
-        for i, (n, a, b, c, k0, text) in enumerate(rows):
-            yield (",\n" if i else "\n") + _SCAN_ROW % (a, b, c, n, k0, text)
-        yield "\n  ]\n}\n" if rows else "]\n}\n"
+    def rendered(n: int, templates: list[str], triples: list[tuple[int, ...]]) -> list[str]:
+        # One % per row: the template of the row's classification holds N and
+        # its cells, so only A, B, C and k0 are formatted here.
+        return [templates[i] % (a, b, c, (4 * (a + b + c) - 2 * n) // n)
+                for a, b, c, i in triples]
 
-    def table_text() -> Iterator[str]:
-        rows = list(scan_rows(lambda cls: (_class_cells(cls),)))
-        *ints, cells = zip(*rows) if rows else [()] * 6
-        distinct = set(cells)
-        # The widest int of a column is its min or its max.
-        widths = [max(len(h), len(str(min(col, default=0))), len(str(max(col, default=0))))
-                  for h, col in zip(header, ints)]
-        widths += [max(map(len, col)) for col in zip(header[5:], *distinct)]
-        yield "  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
-        line = "".join(f"%-{w}d  " for w in widths[:5]) + "%s\n"
-        suffix = {c: "  ".join(map(str.ljust, c, widths[5:])).rstrip() for c in distinct}
-        for n, a, b, c, k0, cl in rows:
-            yield line % (n, a, b, c, k0, suffix[cl])
+    def write_csv(out: TextIO) -> None:
+        out.write(_csv_line(header))
+        for n, classes, triples in levels():
+            templates = [f"{n},%d,%d,%d,%d," + _pct(_csv_line(_class_cells(cls)))
+                         for cls in classes]
+            out.write("".join(rendered(n, templates, triples)))
 
-    return _Result(json_text, table_text, header, scan_rows(_class_cells)), EXIT_OK
+    def write_json(out: TextIO) -> None:
+        held = list(levels())
+        count = sum(len(triples) for *_, triples in held)
+        out.write(f'{{\n  "level": {lo},\n  "level_max": {hi},\n  "count": {count},\n  "rows": [')
+        sep = "\n"
+        for n, classes, triples in held:
+            if triples:
+                templates = [_json_template(n, cls) for cls in classes]
+                out.write(sep + ",\n".join(rendered(n, templates, triples)))
+                sep = ",\n"
+        out.write("\n  ]\n}\n" if count else "]\n}\n")
+
+    def write_table(out: TextIO) -> None:
+        held = [(n, [_class_cells(cls) for cls in classes], triples)
+                for n, classes, triples in levels()]
+        # The widest int of a column is its min or its max.  k0 = 4 sigma/N - 2
+        # lies in -1..9, as 3 <= sigma <= 3N - 6, so it is never wider than its
+        # header.  Cells count only where some row has them.
+        extremes: list[list[int]] = [[] for _ in header[:4]]
+        distinct = set()
+        for n, cells, triples in held:
+            if triples:
+                a, b, c, used = zip(*triples)
+                for column, values in zip(extremes, ((n,), a, b, c)):
+                    column += min(values), max(values)
+                distinct.update(cells[i] for i in set(used))
+        widths = [max([len(h), *(len(str(v)) for v in column)])
+                  for h, column in zip(header, extremes)]
+        widths.append(len(header[4]))
+        widths += [max(map(len, column)) for column in zip(header[5:], *distinct)]
+        out.write("  ".join(map(str.ljust, header, widths)).rstrip() + "\n")
+        ints = "".join(f"%-{w}d  " for w in widths[1:5])
+        for n, cells, triples in held:
+            templates = [str(n).ljust(widths[0]) + "  " + ints
+                         + _pct("  ".join(map(str.ljust, c, widths[5:])).rstrip()) + "\n"
+                         for c in cells]
+            out.write("".join(rendered(n, templates, triples)))
+
+    return _Result(write_json, write_csv, write_table), EXIT_OK
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:
@@ -380,15 +430,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _render(result: _Result, fmt: str, out: TextIO) -> None:
-    if fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(result.header)
-        writer.writerows(result.rows)
-    else:
-        out.writelines(result.json() if fmt == "json" else result.table())
-
-
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -411,12 +452,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
+    write = getattr(result, fmt)
     if not args.output:
-        _render(result, fmt, sys.stdout)
+        write(sys.stdout)
         return code
     try:
         with open(args.output, "w") as out:
-            _render(result, fmt, out)
+            write(out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -180,14 +180,18 @@ def _delta_for_lead(t: RepTriple, case: PrimeCase, lead: Optional[int]) -> tuple
     """(delta, nu_p(N)) for the given leading role, or FormulaInapplicable.
 
     The hypothesis nu_p(N) > 2 nu_p(z_0) gives nu_p(z_0) < nu_p(N), so
-    nu_p(z_n) = nu_p(z_0) for every n.
+    nu_p(z_n) = nu_p(z_0) for every n.  The case's own lead was chosen for
+    nu_p(z_0) = case.predicted_z_valuation, so only another lead evaluates z_0.
     """
     p = case.prime
     if case.case_id is None:
         raise FormulaInapplicable(f"no covered case for p = {p} at level {t.N}")
     if lead is None:
         raise FormulaInapplicable("no leading role attains the predicted constant z-valuation")
-    vz = int_valuation(z_n_value(t, lead, 0), p)
+    if lead == case.lead:
+        vz = case.predicted_z_valuation
+    else:
+        vz = int_valuation(z_n_value(t, lead, 0), p)
     nu_level = case.predicted_z_valuation - case.delta
     if not nu_level > 2 * vz:
         raise FormulaInapplicable(

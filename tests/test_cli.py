@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vvmf3.cli as cli
+import vvmf3.reps as reps
 from conftest import brute_force_level, oracle_g_series
 from vvmf3.cli import EXIT_INVALID, EXIT_OK, FORMAT_ENV_VAR, run
 from vvmf3.mde import build_mde, minimal_vector
@@ -191,6 +192,58 @@ def test_scan_output_matches_reference(lo, hi, fmt, capsys) -> None:
     assert out.splitlines(keepends=True) == _scan_reference(lo, hi, fmt).splitlines(keepends=True)
     if (lo, hi) == (1, 2):
         assert '"rows": []' in out if fmt == "json" else len(out.splitlines()) == 1
+
+
+def test_scan_escapes_percent_in_classification_text(capsys, monkeypatch) -> None:
+    # scan bakes each classification's text into a %-template; the level-7
+    # primitive note reaches the JSON rows, and its %, %d and %% must come
+    # out as themselves in every format.
+    note = "100% sure: %d rows, %% left"
+    monkeypatch.setattr(reps, "PRIMITIVE_NOTE", note)
+    outs = {}
+    for fmt in ("json", "csv", "table"):
+        assert run(["scan", "--level", "7", "--format", fmt]) == EXIT_OK
+        outs[fmt] = capsys.readouterr().out
+        assert outs[fmt].splitlines(keepends=True) == \
+            _scan_reference(7, 7, fmt).splitlines(keepends=True)
+    assert outs["json"].count(json.dumps(note)) == 2
+
+
+def test_scan_csv_streams(monkeypatch, tmp_path) -> None:
+    # As `vvmf3 scan --level 1 --level-max 100000 --format csv | head -1`:
+    # csv writes each level as it enumerates it, so a reader that leaves
+    # after the header stops the scan at once.  A scan that enumerated ahead
+    # of its writes would meet the spy's limit first.
+    levels = []
+
+    def spy(n):
+        levels.append(n)
+        if len(levels) > 20:
+            raise AssertionError("scan --format csv enumerates levels ahead of its writes")
+        return reps._admissible(n)
+
+    class Closed(io.StringIO):
+        # A pipe whose reader left after the first write.
+        def write(self, text):
+            if self.tell():
+                raise BrokenPipeError
+            return super().write(text)
+
+        def fileno(self):
+            return fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(cli, "_admissible", spy)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        monkeypatch.setattr(sys, "argv", ["vvmf3", "scan", "--level", "1",
+                                          "--level-max", "100000", "--format", "csv"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+    finally:
+        os.close(fd)
+    assert exc.value.code == EXIT_INVALID
+    assert levels == list(range(1, len(levels) + 1)) and len(levels) <= 3
 
 
 def test_scan_invalid_range(capsys) -> None:

@@ -22,6 +22,7 @@ from vvmf3.valuation import (
     FormulaInapplicable,
     PrimeCase,
     ValuationReport,
+    _delta_for_lead,
     _law,
     _subtract_form,
     classify_prime,
@@ -196,6 +197,40 @@ def test_predicted_valuation_inapplicability() -> None:
         predicted_valuation(validate_triple(1, 3, 7, 11), 11, 1, 0)
     with pytest.raises(ValueError, match=r"lead exponent 2 is not one of \(1, 3, 7\)"):
         predicted_valuation(validate_triple(1, 3, 7, 11), 11, 2, 5)
+
+
+def test_delta_for_lead_reads_the_case_lead(monkeypatch) -> None:
+    # classify_prime chose case.lead by nu_p(z_0) = case.predicted_z_valuation,
+    # so _delta_for_lead evaluates z_0 only for another lead.  On every pair
+    # with N <= 60 and each of its leads it returns what the hypothesis test
+    # on a recomputed nu_p(z_0) and nu_p(N) gives.
+    def recomputed(t, p, lead):
+        vz, nu_level = int_valuation(z_n_value(t, lead, 0), p), int_valuation(t.N, p)
+        return (vz - nu_level, nu_level) if nu_level > 2 * vz else None
+
+    pairs = [(t, classify_prime(t, p)) for N in range(2, 61) for t in enumerate_level(N)
+             for p, _ in prime_factors(N)]
+    calls = []
+
+    def spy(t, lead, n):
+        calls.append(lead)
+        return z_n_value(t, lead, n)
+
+    monkeypatch.setattr(vvmf3.valuation, "z_n_value", spy)
+    own = 0
+    for t, case in pairs:
+        if case.lead is None:
+            continue
+        for lead in (t.A, t.B, t.C):
+            calls.clear()
+            try:
+                got = _delta_for_lead(t, case, lead)
+            except FormulaInapplicable:
+                got = None
+            assert calls == ([] if lead == case.lead else [lead]), (t, case, lead)
+            assert got == recomputed(t, case.prime, lead), (t, case, lead)
+            own += lead == case.lead
+    assert own > 5_000
 
 
 @given(

@@ -208,6 +208,63 @@ MUTANTS = (
         "killed",
         ("tests/test_valuation.py::test_denominator_profile_boundary_of_late_minimum",),
     ),
+    (
+        "delta_for_lead_recomputes_case_lead",
+        "src/vvmf3/valuation.py",
+        "if lead == case.lead:",
+        "if False:",
+        "evaluates z_0 and its valuation again for the lead classify_prime chose "
+        "by that valuation; the results are the same",
+        "killed",
+        ("tests/test_valuation.py::test_delta_for_lead_reads_the_case_lead",),
+    ),
+    (
+        "scan_template_without_escape",
+        "src/vvmf3/cli.py",
+        'return text.replace("%", "%%")',
+        "return text",
+        "bakes a classification's text into scan's %-templates unescaped, so a "
+        "% in it is read as a conversion",
+        "killed",
+        ("tests/test_cli.py::test_scan_escapes_percent_in_classification_text",),
+    ),
+    (
+        "scan_k0_minus_one_level",
+        "src/vvmf3/cli.py",
+        "(a, b, c, (4 * (a + b + c) - 2 * n) // n)",
+        "(a, b, c, (4 * (a + b + c) - n) // n)",
+        "renders k0 + 1 in every scan row",
+        "killed",
+        ("tests/test_cli.py::test_scan_output_matches_reference",),
+    ),
+    (
+        "scan_json_levels_without_comma",
+        "src/vvmf3/cli.py",
+        'sep = ",\\n"',
+        'sep = "\\n"',
+        "joins the rows of consecutive levels in scan's JSON without a comma",
+        "killed",
+        ("tests/test_cli.py::test_scan_output_matches_reference",),
+    ),
+    (
+        "scan_table_width_from_min_only",
+        "src/vvmf3/cli.py",
+        "column += min(values), max(values)",
+        "column += (min(values),)",
+        "sizes scan's int columns by each level's smallest value alone",
+        "killed",
+        ("tests/test_cli.py::test_scan_output_matches_reference",),
+    ),
+    (
+        "scan_csv_holds_levels",
+        "src/vvmf3/cli.py",
+        "        for n, classes, triples in levels():\n            templates = [f",
+        "        for n, classes, triples in list(levels()):\n            templates = [f",
+        "enumerates every level before csv writes its first row, so a reader "
+        "that leaves early no longer stops the scan",
+        "killed",
+        ("tests/test_cli.py::test_scan_csv_streams",),
+    ),
 )
 
 
