@@ -19,14 +19,13 @@ its verdict: where the law applies it is proved for every row.
 
 Each subcommand computes and checks its result before anything is written, so
 invalid input never opens --output; then only the requested format is built.
-`scan` reads each level's rows as (A, B, C, i), i the index of one of the
-level's one to three classifications, and builds no RepTriple.  Per level and
-format it makes one %-template for each classification, holding N and that
-classification's cells or JSON text (each % in them doubled); a row is one %
-of its template with A, B, C and k0, and a level is written as one chunk.
-`csv` streams level by level in constant memory; `table` and `json` hold the
-(A, B, C, i) rows of every level, to size the columns from each level's
-extreme values and to write `count` first, but no rendered row.
+`scan` reads each level's rows as (A, B, C, k0), with one index per row into
+the level's one to three classifications, and builds no RepTriple.  Per level
+and format it makes one %-template per classification, holding N and its
+cells or JSON text (each % doubled); a level is one `map` of % over the
+templates, indices and rows, written as one chunk.  `csv` streams level by
+level in constant memory; `table` and `json` hold each level's rows and
+indices, to size the columns and to write `count` first, but no rendered row.
 """
 
 from __future__ import annotations
@@ -253,60 +252,56 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
 
     header = ("N", "A", "B", "C", "k0", *_CLASS_FIELDS)
 
-    def levels() -> Iterator[tuple[int, list[Classification], list[tuple[int, int, int, int]]]]:
+    def levels() -> Iterator[tuple[int, list[Classification], list[int], list[tuple[int, ...]]]]:
         for n in range(lo, hi + 1):
-            yield (n, *_classified(n, _admissible(n)))
+            rows = _admissible(n)
+            yield (n, *_classified(n, rows), rows)
 
-    def rendered(n: int, templates: list[str], triples: list[tuple[int, ...]]) -> list[str]:
+    def rendered(templates: list[str], idx: list[int], rows: list[tuple]) -> Iterator[str]:
         # One % per row: the template of the row's classification holds N and
-        # its cells, so only A, B, C and k0 are formatted here.
-        return [templates[i] % (a, b, c, (4 * (a + b + c) - 2 * n) // n)
-                for a, b, c, i in triples]
+        # its cells, and the row (A, B, C, k0) fills in the rest.
+        return map(str.__mod__, map(templates.__getitem__, idx), rows)
 
     def write_csv(out: TextIO) -> None:
         out.write(_csv_line(header))
-        for n, classes, triples in levels():
+        for n, classes, idx, rows in levels():
             templates = [f"{n},%d,%d,%d,%d," + _pct(_csv_line(_class_cells(cls)))
                          for cls in classes]
-            out.write("".join(rendered(n, templates, triples)))
+            out.write("".join(rendered(templates, idx, rows)))
 
     def write_json(out: TextIO) -> None:
         held = list(levels())
-        count = sum(len(triples) for *_, triples in held)
+        count = sum(len(rows) for *_, rows in held)
         out.write(f'{{\n  "level": {lo},\n  "level_max": {hi},\n  "count": {count},\n  "rows": [')
         sep = "\n"
-        for n, classes, triples in held:
-            if triples:
+        for n, classes, idx, rows in held:
+            if rows:
                 templates = [_json_template(n, cls) for cls in classes]
-                out.write(sep + ",\n".join(rendered(n, templates, triples)))
+                out.write(sep + ",\n".join(rendered(templates, idx, rows)))
                 sep = ",\n"
         out.write("\n  ]\n}\n" if count else "]\n}\n")
 
     def write_table(out: TextIO) -> None:
-        held = [(n, [_class_cells(cls) for cls in classes], triples)
-                for n, classes, triples in levels()]
-        # The widest int of a column is its min or its max.  k0 = 4 sigma/N - 2
-        # lies in -1..9, as 3 <= sigma <= 3N - 6, so it is never wider than its
-        # header.  Cells count only where some row has them.
-        extremes: list[list[int]] = [[] for _ in header[:4]]
+        held = [(n, [_class_cells(cls) for cls in classes], idx, rows)
+                for n, classes, idx, rows in levels()]
+        # N, A, B and C are >= 0, so a column's widest int is its largest.
+        # k0 = 4 sigma/N - 2 lies in -1..9, as 3 <= sigma <= 3N - 6, so it is
+        # never wider than its header.  Cells count only where some row has them.
+        tops = [0] * 5
         distinct = set()
-        for n, cells, triples in held:
-            if triples:
-                a, b, c, used = zip(*triples)
-                for column, values in zip(extremes, ((n,), a, b, c)):
-                    column += min(values), max(values)
-                distinct.update(cells[i] for i in set(used))
-        widths = [max([len(h), *(len(str(v)) for v in column)])
-                  for h, column in zip(header, extremes)]
-        widths.append(len(header[4]))
+        for n, cells, idx, rows in held:
+            if rows:
+                tops = list(map(max, tops, (n, *map(max, zip(*rows)))))
+                distinct.update(cells[i] for i in set(idx))
+        widths = [max(len(h), len(str(v))) for h, v in zip(header, tops)]
         widths += [max(map(len, column)) for column in zip(header[5:], *distinct)]
         out.write("  ".join(map(str.ljust, header, widths)).rstrip() + "\n")
         ints = "".join(f"%-{w}d  " for w in widths[1:5])
-        for n, cells, triples in held:
+        for n, cells, idx, rows in held:
             templates = [str(n).ljust(widths[0]) + "  " + ints
                          + _pct("  ".join(map(str.ljust, c, widths[5:])).rstrip()) + "\n"
                          for c in cells]
-            out.write("".join(rendered(n, templates, triples)))
+            out.write("".join(rendered(templates, idx, rows)))
 
     return _Result(write_json, write_csv, write_table), EXIT_OK
 

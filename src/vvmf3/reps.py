@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Optional, Sequence
 
 from .arith import prime_factors, rational_str
 
@@ -141,17 +142,25 @@ def validate_triple(A: int, B: int, C: int, N: int) -> RepTriple:
     return RepTriple(a, b, c, N)
 
 
-def _admissible(N: int) -> list[tuple[int, int, int]]:
-    """(a, b, c) of every admissible triple at level N, sorted, unvalidated:
-    N | 4*sigma puts c in one class mod N / gcd(4, N), and gcd(a, b, c, N) = 1
-    needs a test only where gcd(a, N) > 1."""
+def _admissible(N: int) -> list[tuple[int, int, int, int]]:
+    """(a, b, c, k0) of every admissible triple at level N, sorted, unvalidated.
+    N | 4 sigma iff step = N/gcd(4, N) divides sigma = a + b + c, so sigma runs
+    over the multiples of step up to 3N - 6, and k0 = 4 sigma/N - 2 is constant
+    on each such line.  There c = sigma - a - b, and a < b < c < N puts b in
+    max(a + 1, sigma - a - N + 1)..(sigma - a - 1) // 2: one run per a.  As
+    gcd(a, b, c, N) = gcd(a, b, sigma, N), b is tested only where
+    gcd(a, sigma, N) > 1.  One sort merges the at most 12 sorted lines."""
     step = N // math.gcd(4, N)
-    out: list[tuple[int, int, int]] = []
-    for a in range(N - 2):
-        rows = [(a, b, c) for b in range(a + 1, N - 1)
-                for c in range(b + 1 + (-a - 2 * b - 1) % step, N, step)]
-        g = math.gcd(a, N)
-        out += rows if g == 1 else [r for r in rows if math.gcd(g, r[1], r[2]) == 1]
+    out: list[tuple[int, int, int, int]] = []
+    for s in range(step, 3 * N - 5, step):
+        k0 = (4 * s - 2 * N) // N
+        for a, d in enumerate(range(s, s - s // 3, -1)):  # d = b + c, as 3a + 3 <= s
+            lo, hi, g = max(a + 1, d - N + 1), (d - 1) // 2, math.gcd(a, s, N)
+            if g == 1:
+                out += zip(repeat(a), range(lo, hi + 1), range(d - lo, d - hi - 1, -1), repeat(k0))
+            else:
+                out += [(a, b, d - b, k0) for b in range(lo, hi + 1) if math.gcd(g, b) == 1]
+    out.sort()
     return out
 
 
@@ -165,7 +174,7 @@ def enumerate_level(N: int) -> list[RepTriple]:
     """
     if N < 1:
         raise ValueError(f"level must be >= 1, got {N}")
-    return [RepTriple(a, b, c, N) for a, b, c in _admissible(N)]
+    return [RepTriple(a, b, c, N) for a, b, c, _ in _admissible(N)]
 
 
 @dataclass(frozen=True)
@@ -260,7 +269,7 @@ def gamma02_family(M: int, A: int, x: int) -> FamilyResult:
         exponents=(e1, e2, e3),
         triple=triple,
         formula_level=level,
-        finite_image_pattern_m=_pattern_m(triple),
+        finite_image_pattern_m=classify_triple(triple).gamma02_pattern,
         chi_exponents={
             "E": Fraction(x, 4) % 1,
             "P1": (2 * e2) % 1,
@@ -291,7 +300,7 @@ def gamma3_family(x0: int, x1: int, x2: int) -> FamilyResult:
         exponents=exps,
         triple=triple,
         formula_level=None,
-        finite_image_pattern_m=_pattern_m(triple),
+        finite_image_pattern_m=classify_triple(triple).gamma02_pattern,
         chi_exponents={
             "E0": Fraction(x0, 4) % 1,
             "E1": Fraction(x1, 4) % 1,
@@ -371,29 +380,23 @@ def ubd_criterion(N: int) -> list[int]:
 
 
 def _classified(
-    N: int, triples: Iterable[tuple[int, int, int]], primes: Optional[tuple[int, ...]] = None
-) -> tuple[list[Classification], list[tuple[int, int, int, int]]]:
-    """The level-N classifications, each built once, and (a, b, c, i) for each
-    sorted triple, classified classes[i]; primes defaults to ubd_criterion(N).
-    classes[0] is plain; classes[1] is the finite-image pattern (N = 2M',
-    M' >= 4, two exponents M' apart; m = 0 matches no difference) or, at
-    level 7, the primitive classes."""
-    primes = tuple(ubd_criterion(N)) if primes is None else primes
+    N: int, rows: Sequence[tuple[int, int, int, int]]
+) -> tuple[list[Classification], list[int]]:
+    """The level-N classifications, each built once, and each row's index
+    among them; rows are _admissible's (a, b, c, k0), whose gcd and k0 its
+    sigma-lines settle.  classes[0] is plain; classes[1] is the finite-image
+    pattern (N = 2M', M' >= 4, two exponents M' apart) or, at level 7, the
+    primitive classes."""
+    primes = tuple(ubd_criterion(N))
     classes = [Classification(N < 6, False, None, primes, ())]
     m = N // 2 if N % 2 == 0 and N >= 8 else 0
-    if m:
-        classes.append(Classification(N < 6, False, m, primes, ()))
+    if N != 7 and not m:
+        return classes, [0] * len(rows)
     if N == 7:
         classes.append(Classification(N < 6, True, None, primes, (PRIMITIVE_NOTE,)))
-        return classes, [(a, b, c, int(frozenset((a, b, c)) in LEVEL7_PRIMITIVE_CLASSES))
-                         for a, b, c in triples]
-    return classes, [(a, b, c, 1 if m in (b - a, c - b, c - a) else 0) for a, b, c in triples]
-
-
-def _pattern_m(t: RepTriple) -> Optional[int]:
-    """M' when N = 2M', M' >= 4, and two exponents differ by exactly M'."""
-    classes, [(*_, i)] = _classified(t.N, [(t.A, t.B, t.C)], primes=())
-    return classes[i].gamma02_pattern
+        return classes, [int(frozenset(r[:3]) in LEVEL7_PRIMITIVE_CLASSES) for r in rows]
+    classes.append(Classification(N < 6, False, m, primes, ()))
+    return classes, [1 if m in (b - a, c - b, c - a) else 0 for a, b, c, _ in rows]
 
 
 def classify_triple(t: RepTriple) -> Classification:
@@ -402,5 +405,5 @@ def classify_triple(t: RepTriple) -> Classification:
     >>> classify_triple(validate_triple(1, 3, 7, 11)).ubd_primes
     (11,)
     """
-    classes, [(*_, i)] = _classified(t.N, [(t.A, t.B, t.C)])
+    classes, [i] = _classified(t.N, [(t.A, t.B, t.C, t.k0)])
     return classes[i]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -95,16 +96,30 @@ def test_enumerate_matches_brute_force_random_levels(N):
 
 def test_admissible_rows_validate_unchanged():
     # scan takes its rows from the enumerator without building a RepTriple,
-    # so nothing else re-validates them.  The totals are the populations of
-    # the criterion-06 sweep (N <= 60) and of the scan benchmark (N <= 100).
+    # so nothing else re-validates them, nor the k0 it prints.  The totals are
+    # the populations of the criterion-06 sweep (N <= 60) and of the scan
+    # benchmark (N <= 100).
     counts = [0] * 101
     for N in range(1, 101):
-        for a, b, c in reps._admissible(N):
+        for a, b, c, k0 in reps._admissible(N):
             t = validate_triple(a, b, c, N)
-            assert (t.A, t.B, t.C) == (a, b, c), N
+            assert (t.A, t.B, t.C, t.k0) == (a, b, c, k0), N
             counts[N] += 1
     assert sum(counts[:61]) == 19751
     assert sum(counts) == 92124
+
+
+def test_admissible_matches_brute_force_with_k0():
+    # Every residue of N mod 4 (so every step N/gcd(4, N)) and level 7,
+    # against every 3-subset; at 50 of these levels the gcd test on b rejects
+    # a triple whose sigma lies on a line.
+    rejecting = 0
+    for N in range(1, 73):
+        want = [(a, b, c, (4 * (a + b + c) - 2 * N) // N) for a, b, c in brute_force_level(N)]
+        assert reps._admissible(N) == want, N
+        on_lines = sum(4 * sum(t) % N == 0 for t in itertools.combinations(range(N), 3))
+        rejecting += on_lines > len(want)
+    assert rejecting == 50
 
 
 def test_family_argument_validation():
@@ -263,9 +278,11 @@ def test_classify_level_matches_classify_triple(monkeypatch):
     monkeypatch.setattr(reps, "ubd_criterion", counting)
     for N in range(1, 121):
         # scan's rows: the level's classifications and an index per triple.
-        classes, rows = reps._classified(N, reps._admissible(N))
+        rows = reps._admissible(N)
+        classes, idx = reps._classified(N, rows)
         assert levels == [N]  # the level-only cells are computed once
-        pairs = [(RepTriple(a, b, c, N), classes[i]) for a, b, c, i in rows]
+        assert len(idx) == len(rows) and set(idx) <= set(range(len(classes)))
+        pairs = [(RepTriple(a, b, c, N), classes[i]) for (a, b, c, _), i in zip(rows, idx)]
         assert pairs == [(t, classify_triple(t)) for t in enumerate_level(N)]
         shared = {}
         for _, cls in pairs:

@@ -230,12 +230,53 @@ MUTANTS = (
     ),
     (
         "scan_k0_minus_one_level",
-        "src/vvmf3/cli.py",
-        "(a, b, c, (4 * (a + b + c) - 2 * n) // n)",
-        "(a, b, c, (4 * (a + b + c) - n) // n)",
-        "renders k0 + 1 in every scan row",
+        "src/vvmf3/reps.py",
+        "k0 = (4 * s - 2 * N) // N",
+        "k0 = (4 * s - N) // N",
+        "puts k0 + 1 on every sigma-line of the enumerator, so every scan row "
+        "renders it",
         "killed",
         ("tests/test_cli.py::test_scan_output_matches_reference",),
+    ),
+    (
+        "admissible_b_equal_c",
+        "src/vvmf3/reps.py",
+        "(d - 1) // 2",
+        "d // 2",
+        "ends each run at b = (sigma - a) // 2, which admits b = c at even "
+        "sigma - a",
+        "killed",
+        ("tests/test_reps.py::test_admissible_matches_brute_force_with_k0",),
+    ),
+    (
+        "admissible_gcd_without_sigma",
+        "src/vvmf3/reps.py",
+        "math.gcd(a, s, N)",
+        "math.gcd(a, N)",
+        "tests b against gcd(a, N) in place of gcd(a, sigma, N), so it drops "
+        "triples whose gcd(a, b, sigma, N) is 1",
+        "killed",
+        ("tests/test_reps.py::test_admissible_matches_brute_force_with_k0",),
+    ),
+    (
+        "admissible_sigma_one_line_short",
+        "src/vvmf3/reps.py",
+        "range(step, 3 * N - 5, step)",
+        "range(step, 3 * N - 5 - step, step)",
+        "stops sigma one step early, so the top line's triples are missing",
+        "killed",
+        ("tests/test_reps.py::test_admissible_matches_brute_force_with_k0",),
+    ),
+    (
+        "classified_one_class_at_level_7",
+        "src/vvmf3/reps.py",
+        "if N != 7 and not m:",
+        "if not m:",
+        "takes the one-class shortcut at level 7 too, so the primitive "
+        "classes read as plain; classify_triple reads the same _classified, so "
+        "only a pinned flag can see it",
+        "killed",
+        ("tests/test_reps.py::test_classify_level7_primitives",),
     ),
     (
         "scan_json_levels_without_comma",
@@ -249,17 +290,17 @@ MUTANTS = (
     (
         "scan_table_width_from_min_only",
         "src/vvmf3/cli.py",
-        "column += min(values), max(values)",
-        "column += (min(values),)",
-        "sizes scan's int columns by each level's smallest value alone",
+        "(n, *map(max, zip(*rows)))",
+        "(n, *map(min, zip(*rows)))",
+        "sizes scan's A, B and C columns by each level's smallest value",
         "killed",
         ("tests/test_cli.py::test_scan_output_matches_reference",),
     ),
     (
         "scan_csv_holds_levels",
         "src/vvmf3/cli.py",
-        "        for n, classes, triples in levels():\n            templates = [f",
-        "        for n, classes, triples in list(levels()):\n            templates = [f",
+        "        for n, classes, idx, rows in levels():\n            templates = [f",
+        "        for n, classes, idx, rows in list(levels()):\n            templates = [f",
         "enumerates every level before csv writes its first row, so a reader "
         "that leaves early no longer stops the scan",
         "killed",
