@@ -38,23 +38,64 @@ __all__ = [
 
 
 def _exact(x: RationalLike) -> Fraction:
-    """x as a Fraction; a float, only a binary approximation, raises TypeError."""
+    """x as a Fraction; a float, only a binary approximation, raises TypeError.
+    Text goes through Fraction(x); "num" or "num/den" text whose integers
+    exceed CPython's limit on decimal conversion, through _int_from_digits."""
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise TypeError(f"exact values are int or Fraction, not the float {x!r}")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ValueError:
+        if not isinstance(x, str):
+            raise
+        num, slash, den = x.strip().partition("/")
+        sign = num[:1] if num[:1] in ("+", "-") else ""
+        digits, den = num[len(sign):], den if slash else "1"
+        if not all(d.isascii() and d.isdigit() for d in (digits, den)):
+            raise
+        n = _int_from_digits(digits)
+        return Fraction(-n if sign == "-" else n, _int_from_digits(den))
+
+
+def _int_from_digits(digits: str) -> int:
+    """int(digits) for ASCII digits of any length: past CPython's limit on
+    decimal conversion (sys.get_int_max_str_digits(), 4,300 by default) int
+    raises ValueError, and the two halves are read in turn."""
+    try:
+        return int(digits)
+    except ValueError:
+        k = len(digits) // 2
+        return _int_from_digits(digits[:-k]) * 10**k + _int_from_digits(digits[-k:])
+
+
+def _int_str(n: int) -> str:
+    """str(n) for an int of any size: past CPython's limit on decimal
+    conversion str raises ValueError, and the quotient and remainder by 10^k,
+    k about half the digits, are written in turn; the interpreter's limit is
+    left as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _int_str(-n)
+        k = n.bit_length() * 3 // 20  # log10(2) / 2 > 3/20
+        high, low = divmod(n, 10**k)
+        return _int_str(high) + _int_str(low).zfill(k)
 
 
 def rational_str(x: RationalLike) -> str:
-    """Canonical text form "num/den", with "/den" omitted when den is 1.
+    """Canonical text form "num/den", with "/den" omitted when den is 1, for
+    integers of any size.
 
     >>> rational_str(Fraction(-40, 33))
     '-40/33'
     >>> rational_str(Fraction(10, 2))
     '5'
     """
-    return str(_exact(x))
+    num, den = _exact(x).as_integer_ratio()
+    return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
 
 
 # The first 13 primes as witnesses make Miller-Rabin deterministic below

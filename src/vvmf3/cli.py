@@ -107,7 +107,10 @@ def _result(json_obj: Callable[[], object], header: tuple[str, ...],
 
 
 def _fmt(x: object) -> str:
-    return "" if x is None else str(x)
+    """A cell: "" for None, rationals of any size by rational_str, else str."""
+    if x is None:
+        return ""
+    return rational_str(x) if type(x) in (int, Fraction) else str(x)
 
 
 def _spaced(xs: Iterable[object]) -> str:

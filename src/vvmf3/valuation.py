@@ -13,6 +13,12 @@ The recursion's c_k = 6N k lambda(k) = 6N * k * (Nk + a - b) * (Nk + a - c),
 a = lead, is a product of four factors, three of them linear in k; p^e
 divides each on one arithmetic progression of k, so _law builds the column
 for predicted_valuation and verify_formula from one list of increments.
+The column depends on p, delta, n and what the progressions read of each form
+(for p not dividing (a - b)(a - c), on p, delta and n alone), so _law_rows
+keeps the finished rows of the last _LAW_CACHE_SIZE = 128 such keys, and
+applicable reports with one key share one immutable rows tuple: the 9,308
+criterion-06 pairs at one n have 61 keys.  It holds at most 128 row tuples,
+so 128 * n_max rows at worst, n_max the largest n asked for.
 Since a(n) = anum_n / (c_1 ... c_n) for integers anum_n, the law is equivalent
 to nu_p(anum_n) = n * shift, shift = delta + nu_p(6N) = nu_p(z_0) + nu_p(6).
 The ultrametric inequality proves this for every n: in the recursion for
@@ -29,6 +35,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -53,6 +60,12 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 100
+
+# Row tuples kept by _law_rows: about twice the 61 keys of the 9,308
+# criterion pairs with N <= 60 at one n.
+_LAW_CACHE_SIZE = 128
+
+Rows = tuple[tuple[int, ValuationValue, Optional[int]], ...]
 
 
 class FormulaInapplicable(Exception):
@@ -97,13 +110,15 @@ class ValuationReport:
     nu_p(N) > 2 nu_p(z_0) hypothesis holds: the law is then proved for every
     n, and the rows are its column.  "inapplicable" means the law makes no
     claim (uncovered case, no leading role, or hypothesis failure); the rows
-    then carry observations with predicted = None.
+    then carry observations with predicted = None.  The rows of an applicable
+    report are a tuple that other reports of the same law key may share (see
+    the module docstring); tuples are immutable, so no report can change them.
     """
 
     triple: RepTriple
     prime: int
     lead: int
-    rows: tuple[tuple[int, ValuationValue, Optional[int]], ...]
+    rows: Rows
     verdict: str
     case: PrimeCase
     applicable: bool
@@ -200,20 +215,29 @@ def _delta_for_lead(t: RepTriple, case: PrimeCase, lead: Optional[int]) -> tuple
     return vz - nu_level, nu_level
 
 
-def _subtract_form(inc: list[int], alpha: int, beta: int, p: int, va: int) -> None:
-    """Subtract nu_p(alpha k + beta) from inc[k - 1], k = 1..n = len(inc), for
-    alpha >= 1, va = nu_p(alpha) and no term zero: nu_p(beta) from every entry
-    if that is below va.  Otherwise, with alpha', beta' the quotients by p^va,
-    p^e divides alpha' k + beta' exactly on k = -beta' / alpha' mod p^e: va
-    from every entry (one list pass), then 1 along that progression for each
-    p^e <= alpha' n + |beta'|, n/p + n/p^2 + ... steps.
-    """
+def _form_key(alpha: int, beta: int, p: int, va: int) -> tuple[int, int, int]:
+    """What _subtract_form reads of alpha k + beta, alpha >= 1, va = nu_p(alpha),
+    no term zero: (v, 0, 0) when v = nu_p(beta) is below va, a constant
+    column; else (va, alpha', beta'), the quotients by p^va.  The form k is
+    (0, 1, 0), and Nk + a - b with p not dividing a - b is (0, 0, 0)."""
     v = min(va, int_valuation(beta, p)) if beta else va
+    if v < va:
+        return v, 0, 0
+    q = p**va
+    return va, alpha // q, beta // q
+
+
+def _subtract_form(inc: list[int], key: tuple[int, int, int], p: int) -> None:
+    """Subtract nu_p(alpha k + beta) from inc[k - 1], k = 1..n = len(inc), for
+    the form of key (v, alpha', beta') = _form_key(alpha, beta, p, va): v from
+    every entry (one list pass); then, as p^e divides alpha' k + beta' exactly
+    on k = -beta' / alpha' mod p^e, 1 along that progression for each
+    p^e <= alpha' n + |beta'|, n/p + n/p^2 + ... steps (none for alpha' = 0).
+    """
+    v, alpha, beta = key
     if v:
         inc[:] = [x - v for x in inc]
-    if v < va:
-        return
-    alpha, beta, n = alpha // p**va, beta // p**va, len(inc)
+    n = len(inc)
     bound, q = alpha * n + abs(beta), p
     while q <= bound:
         for i in range((-beta * pow(alpha, -1, q) - 1) % q, n, q):
@@ -221,18 +245,31 @@ def _subtract_form(inc: list[int], alpha: int, beta: int, p: int, va: int) -> No
         q *= p
 
 
-def _law(t: RepTriple, lead: int, p: int, delta: int, nu_level: int, n: int) -> list[int]:
-    """The law's column [m * delta - D_m for m = 1..n], D_m = nu_p(prod_{k<=m}
-    k lambda(k)), nu_level = nu_p(N): the increments delta - nu_p(k lambda(k))
-    from the forms k, Nk + a - b, Nk + a - c of c_k = 6N * k * (Nk + a - b) *
-    (Nk + a - c), a = lead, accumulated once.  With the fourth factor it is
-    m * shift - nu_p(c_1 ... c_m), shift = delta + nu_p(6N).
+@lru_cache(maxsize=_LAW_CACHE_SIZE)
+def _law_rows(p: int, delta: int, n: int, forms: tuple[tuple[int, int, int], ...]) -> Rows:
+    """The rows (m, v_m, v_m), m = 1..n, of the column v_m = m * delta - D_m,
+    D_m the sum over k <= m of nu_p of the forms; one tuple per key, shared
+    by every report with that key."""
+    inc = [delta] * n
+    for key in forms:
+        _subtract_form(inc, key, p)
+    column = list(accumulate(inc))
+    return tuple(zip(range(1, n + 1), column, column))
+
+
+def _law(t: RepTriple, lead: int, p: int, delta: int, nu_level: int, n: int) -> Rows:
+    """The law's rows (m, v_m, v_m) for m = 1..n, v_m = m * delta - D_m, D_m =
+    nu_p(prod_{k<=m} k lambda(k)), nu_level = nu_p(N): the increments
+    delta - nu_p(k lambda(k)) from the forms k, Nk + a - b, Nk + a - c of
+    c_k = 6N * k * (Nk + a - b) * (Nk + a - c), a = lead, accumulated once.
+    With the fourth factor v_m is m * shift - nu_p(c_1 ... c_m), shift =
+    delta + nu_p(6N).  The rows depend on p, delta, n and the forms' keys
+    alone, so _law_rows builds them once per key.
     """
     b, c = (e for e in (t.A, t.B, t.C) if e != lead)
-    inc = [delta] * n
-    for alpha, beta, va in ((1, 0, 0), (t.N, lead - b, nu_level), (t.N, lead - c, nu_level)):
-        _subtract_form(inc, alpha, beta, p, va)
-    return list(accumulate(inc))
+    forms = ((0, 1, 0), _form_key(t.N, lead - b, p, nu_level),
+             _form_key(t.N, lead - c, p, nu_level))
+    return _law_rows(p, delta, n, forms)
 
 
 def _coeff_valuations(fracs: Iterable[tuple[int, int]], p: int) -> list[ValuationValue]:
@@ -253,7 +290,7 @@ def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"predicted_valuation needs n >= 1, got {n}")
-    return _law(t, lead, p, *_delta_for_lead(t, classify_prime(t, p), lead), n)[-1]
+    return _law(t, lead, p, *_delta_for_lead(t, classify_prime(t, p), lead), n)[-1][1]
 
 
 def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> ValuationReport:
@@ -283,6 +320,10 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
     By the ultrametric inequality nu_p(anum_n) = n s; tests/test_sympy_oracle.py
     expands both identities.  Where the law is inapplicable the observed
     column is read from the reduced coefficients of component_series.
+
+    An applicable report's rows come from a cache of at most 128 row tuples
+    (128 * n_max rows at worst) and are shared, immutable, with every report
+    of the same p, delta, n_max and forms.
     """
     if n_max < 1:
         raise ValueError(f"verify_formula needs n_max >= 1, got {n_max}")
@@ -294,15 +335,15 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
         applicable, reason = False, str(exc)
         series = component_series(build_mde(t, n_max), lead)
         observed = _coeff_valuations(map(Fraction.as_integer_ratio, series.coeffs[1:]), p)
-        predicted = [None] * n_max
+        rows = tuple(zip(range(1, n_max + 1), observed, [None] * n_max))
     else:
         applicable, reason = True, None
-        observed = predicted = _law(t, lead, p, delta, nu_level, n_max)
+        rows = _law(t, lead, p, delta, nu_level, n_max)
     return ValuationReport(
         triple=t,
         prime=p,
         lead=lead,
-        rows=tuple(zip(range(1, n_max + 1), observed, predicted)),
+        rows=rows,
         verdict="formula-verified" if applicable else "inapplicable",
         case=case,
         applicable=applicable,

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vvmf3.qseries
+from vvmf3.arith import rational_str
 from vvmf3.mde import build_mde, indicial_phi, phi_j
 from vvmf3.qseries import QExpansion, eisenstein, modular_derivative
 from vvmf3.reps import validate_triple
@@ -162,6 +164,26 @@ def test_json_round_trip():
                  '{"exponent": "0", "coeffs": {"1": 0, "5": 1}, "order": 1}'):
         with pytest.raises(TypeError):
             QExpansion.from_json_dict(json.loads(text))
+
+
+def test_json_round_trip_past_the_int_str_limit():
+    # A 5,000-digit numerator: CPython's default limit on int <-> decimal str
+    # conversion is 4,300 digits, and the limit stays in force.
+    num = 10**4999 + 1234567
+    digits = "1" + "0" * 4992 + "1234567"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        with pytest.raises(ValueError):
+            str(num)
+    f = QExpansion(0, [1, Fraction(-num, 3**50), num])
+    data = f.to_json_dict()
+    assert data["coeffs"] == ["1", f"-{digits}/{3**50}", digits]
+    assert rational_str(Fraction(num, 7)) == f"{digits}/7"
+    assert QExpansion.from_json_dict(json.loads(json.dumps(data))) == f
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    # Text that is not "num/den" still raises, past the limit too.
+    with pytest.raises(ValueError):
+        QExpansion.from_json_dict({"exponent": "0", "coeffs": [digits + "x"], "order": 0})
 
 
 @st.composite

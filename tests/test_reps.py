@@ -288,3 +288,38 @@ def test_classify_level_matches_classify_triple(monkeypatch):
         for _, cls in pairs:
             assert shared.setdefault(cls, cls) is cls
         levels.clear()
+
+
+def test_classify_triple_matches_restated_rules():
+    # The classification rules restated without reps._classified, at every
+    # triple of every level N <= 60: small levels N < 6; the finite-image
+    # pattern N = 2M', M' >= 4, with two exponents M' apart; level 7's
+    # primitive classes {1, 2, 4} and {3, 5, 6} with their note; and the
+    # criterion primes, by trial division of N / gcd(N, 2^8 3^6 5^2 7^2).
+    def trial_division_primes(n):
+        primes, d = [], 2
+        while d * d <= n:
+            if n % d == 0:
+                primes.append(d)
+                while n % d == 0:
+                    n //= d
+            d += 1
+        return tuple(primes + [n] * (n > 1))
+
+    flagged = {"pattern": 0, "primitive": 0, "primes": 0}
+    for N in range(1, 61):
+        primes = trial_division_primes(N // gcd(N, 2**8 * 3**6 * 5**2 * 7**2))
+        m = N // 2 if N % 2 == 0 and N // 2 >= 4 else None
+        for a, b, c in brute_force_level(N):
+            pattern = m if m is not None and m in (b - a, c - a, c - b) else None
+            primitive = N == 7 and {a, b, c} in ({1, 2, 4}, {3, 5, 6})
+            cls = classify_triple(validate_triple(a, b, c, N))
+            assert (cls.congruence_by_small_level, cls.primitive_level7, cls.gamma02_pattern,
+                    cls.ubd_primes, cls.notes) \
+                == (N < 6, primitive, pattern, primes,
+                    (reps.PRIMITIVE_NOTE,) if primitive else ()), (a, b, c, N)
+            flagged["pattern"] += pattern is not None
+            flagged["primitive"] += primitive
+            flagged["primes"] += bool(primes)
+    assert flagged["primitive"] == 2
+    assert flagged["pattern"] > 0 and flagged["primes"] == 9_308

@@ -23,7 +23,10 @@ from vvmf3.valuation import (
     PrimeCase,
     ValuationReport,
     _delta_for_lead,
+    _LAW_CACHE_SIZE,
+    _form_key,
     _law,
+    _law_rows,
     _subtract_form,
     classify_prime,
     denominator_profile,
@@ -251,14 +254,24 @@ def test_progression_valuations_match_direct_valuations(p, i, u, j, v, n) -> Non
     # alpha k + beta = 0 at an integer k = -beta / alpha in 1..n has no finite valuation.
     assume(beta % alpha or not 1 <= -beta // alpha <= n)
     inc = [0] * n
-    _subtract_form(inc, alpha, beta, p, int_valuation(alpha, p))
+    _subtract_form(inc, _form_key(alpha, beta, p, int_valuation(alpha, p)), p)
     assert inc == [-int_valuation(alpha * k + beta, p) for k in range(1, n + 1)]
 
 
-def test_law_matches_reference_law() -> None:
+@pytest.fixture
+def cold_law():
+    """_law_rows with an empty cache, emptied again afterwards: a test that
+    counts the law's builds or patches its internals sees every column built."""
+    _law_rows.cache_clear()
+    yield _law_rows
+    _law_rows.cache_clear()
+
+
+def test_law_matches_reference_law(cold_law) -> None:
     # Every covered pair with N <= 60 at n = 100 (the lead of classify_prime,
     # its delta), and every lead at every prime of sampled triples at prime
-    # power levels, where the progressions run deepest.
+    # power levels, where the progressions run deepest.  Twice: from a cleared
+    # cache, then with it warm, so rows shared by a key must fit every pair.
     pairs = [
         (t, p, case.lead, case.delta, 100)
         for t in (t for N in range(2, 61) for t in enumerate_level(N))
@@ -278,10 +291,42 @@ def test_law_matches_reference_law() -> None:
         pairs += [(t, p, lead, int_valuation(z_n_value(t, lead, 0), p) - int_valuation(t.N, p), n)
                   for lead in (t.A, t.B, t.C) for n in (1, 2, 1000)]
     assert len(pairs) > 10_000
+    expected = []
     for t, p, lead, delta, n in pairs:
-        shift = delta + int_valuation(6 * t.N, p)
-        assert _law(t, lead, p, delta, int_valuation(t.N, p), n) \
-            == reference_law(p, shift, _recursion_c(t, lead, n))
+        column = reference_law(p, delta + int_valuation(6 * t.N, p), _recursion_c(t, lead, n))
+        expected.append(tuple(zip(range(1, n + 1), column, column)))
+    for _ in ("cleared", "warm"):
+        for (t, p, lead, delta, n), rows in zip(pairs, expected):
+            assert _law(t, lead, p, delta, int_valuation(t.N, p), n) == rows, (t, p, lead)
+    assert cold_law.cache_info().hits > len(pairs)
+
+
+def test_verify_formula_reports_from_cleared_and_warm_cache(cold_law) -> None:
+    # Every criterion pair with N <= 60: each report built from a cleared
+    # cache equals the one the sweep builds with the cache warm, whose 9,308
+    # reports share 61 row tuples.  The cache never holds more than its bound,
+    # also when predicted_valuation asks for 400 distinct columns.
+    pairs = [(t, p) for N in range(2, 61) for p in ubd_criterion(N) for t in enumerate_level(N)]
+    assert len(pairs) == 9_308
+    cleared = []
+    for t, p in pairs:
+        cold_law.cache_clear()
+        cleared.append(verify_formula(t, p))
+    cold_law.cache_clear()
+    warm = []
+    for t, p in pairs:
+        warm.append(verify_formula(t, p))
+        assert cold_law.cache_info().currsize <= _LAW_CACHE_SIZE
+    assert warm == cleared
+    assert all(r.verdict == "formula-verified" for r in warm)
+    info = cold_law.cache_info()
+    assert (info.hits, info.misses) == (9_247, 61)
+    assert len({id(r.rows) for r in warm}) == 61
+    t = validate_triple(1, 3, 7, 11)
+    for n in range(1, 401):
+        assert predicted_valuation(t, 11, 1, n) == -n - n // 11 - n // 121
+        assert cold_law.cache_info().currsize <= _LAW_CACHE_SIZE
+    assert cold_law.cache_info().currsize == _LAW_CACHE_SIZE
 
 
 def test_predicted_valuation_matches_verify_formula_to_400() -> None:

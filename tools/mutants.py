@@ -96,9 +96,20 @@ MUTANTS = (
     (
         "law_without_k_factor",
         "src/vvmf3/valuation.py",
-        "((1, 0, 0), (t.N, lead - b, nu_level), (t.N, lead - c, nu_level))",
-        "((t.N, lead - b, nu_level), (t.N, lead - c, nu_level))",
-        "drops the factor k of c_k from the law's column",
+        "forms = ((0, 1, 0), _form_key(",
+        "forms = (_form_key(",
+        "drops the form k of c_k from the law's key, and so its factor k from "
+        "the column",
+        "killed",
+        ("tests/test_valuation.py::test_law_matches_reference_law",),
+    ),
+    (
+        "law_key_without_beta",
+        "src/vvmf3/valuation.py",
+        "return va, alpha // q, beta // q",
+        "return va, alpha // q, 0",
+        "drops beta' from a form's key, so the pairs that share p, delta, n, "
+        "nu_p(alpha) and alpha' share one column whatever their progressions",
         "killed",
         ("tests/test_valuation.py::test_law_matches_reference_law",),
     ),
@@ -107,8 +118,8 @@ MUTANTS = (
         "src/vvmf3/valuation.py",
         "inc[:] = [x - v for x in inc]",
         "pass",
-        "skips the list pass that subtracts a form's constant valuation, "
-        "nu_p(alpha) or the smaller nu_p(beta)",
+        "skips the list pass that subtracts a form's constant valuation v of "
+        "its key, nu_p(alpha) or the smaller nu_p(beta)",
         "killed",
         ("tests/test_valuation.py::test_law_matches_reference_law",),
     ),
@@ -273,10 +284,9 @@ MUTANTS = (
         "if N != 7 and not m:",
         "if not m:",
         "takes the one-class shortcut at level 7 too, so the primitive "
-        "classes read as plain; classify_triple reads the same _classified, so "
-        "only a pinned flag can see it",
+        "classes read as plain",
         "killed",
-        ("tests/test_reps.py::test_classify_level7_primitives",),
+        ("tests/test_reps.py::test_classify_triple_matches_restated_rules",),
     ),
     (
         "scan_json_levels_without_comma",

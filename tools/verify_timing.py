@@ -7,10 +7,13 @@ one interpreter, with perf_counter; each figure is the minimum over
 ``--repeat`` runs.  Two parts:
 
 - ``sweep``: the 1,000 (triple, prime) pairs of perfbench's ubd_sweep input
-  for the seed (perfbench/inputs.py), each verified to n = 100;
+  for the seed (perfbench/inputs.py), each verified to n = 100.  Besides the
+  minimum, whose runs find the law's row cache warm, ``first_run_s`` times the
+  first run after clearing that cache, as in perfbench's fresh interpreters;
 - ``pins``: verify_formula at n_max = 100, 300 and 1000 on (1,3,7,11) at
   p = 11 (shift 0) and on three pairs with shift > 0, one each at p = 3, 2
-  and 7.
+  and 7, each run after clearing the law's row cache, so that the figures
+  show the law's cost in n.
 
 It prints one JSON object, with a sha256 of the repr of every report, so two
 checkouts can be shown to give the same reports.
@@ -31,14 +34,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from inputs import make_inputs  # noqa: E402
 from vvmf3 import validate_triple, verify_formula  # noqa: E402
+from vvmf3.valuation import _law_rows  # noqa: E402
 
 PINS = (((1, 3, 7, 11), 11), ((0, 1, 26, 27), 3), ((0, 1, 127, 512), 2), ((1, 2, 340, 343), 7))
 ORDERS = (100, 300, 1000)
 
 
-def best(call, repeat: int) -> float:
+def best(call, repeat: int, setup=lambda: None) -> float:
     times = []
     for _ in range(repeat):
+        setup()
         start = perf_counter()
         call()
         times.append(perf_counter() - start)
@@ -53,11 +58,17 @@ def main() -> None:
     data = make_inputs("ubd_sweep", args.seed)
     n_max = data["n_max"]
     pairs = [(validate_triple(*row[:4]), row[4]) for row in data["pairs"]]
+    _law_rows.cache_clear()
+    start = perf_counter()
+    reports = [verify_formula(t, p, n_max) for t, p in pairs]
+    first_run = perf_counter() - start
     digest = hashlib.sha256()
-    for t, p in pairs:
-        digest.update(repr(verify_formula(t, p, n_max)).encode())
+    for report in reports:
+        digest.update(repr(report).encode())
     sweep = {
         "pairs": len(pairs),
+        "first_run_s": first_run,
+        "law_cache": _law_rows.cache_info()._asdict(),
         "verify_formula_s": best(lambda: [verify_formula(t, p, n_max) for t, p in pairs],
                                  args.repeat),
     }
@@ -67,7 +78,8 @@ def main() -> None:
         row = pins[f"{tup} p={p}"] = {}
         for order in ORDERS:
             digest.update(repr(verify_formula(t, p, order)).encode())
-            row[str(order)] = best(lambda: verify_formula(t, p, order), args.repeat)
+            row[str(order)] = best(lambda: verify_formula(t, p, order), args.repeat,
+                                   _law_rows.cache_clear)
     print(json.dumps({
         "python": platform.python_version(),
         "seed": args.seed,
