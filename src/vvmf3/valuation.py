@@ -11,14 +11,15 @@ exact law
 delta = nu_p(z_n) - nu_p(N) < 0, a strictly decreasing negative function of n.
 The recursion's c_k = 6N k lambda(k) = 6N * k * (Nk + a - b) * (Nk + a - c),
 a = lead, is a product of four factors, three of them linear in k; p^e
-divides each on one arithmetic progression of k, so _law builds the column
-for predicted_valuation and verify_formula from one list of increments.
+divides each on one arithmetic progression of k, which _hits yields as a
+range.  predicted_valuation counts the ranges' terms, O(log_p n) per form;
+verify_formula walks them to build the column, one list of increments.
 The column depends on p, delta, n and what the progressions read of each form
 (for p not dividing (a - b)(a - c), on p, delta and n alone), so _law_rows
 keeps the finished rows of the last _LAW_CACHE_SIZE = 128 such keys, and
 applicable reports with one key share one immutable rows tuple: the 9,308
 criterion-06 pairs at one n have 61 keys.  It holds at most 128 row tuples,
-so 128 * n_max rows at worst, n_max the largest n asked for.
+so 128 * n_max rows at worst, n_max the largest n_max asked for.
 Since a(n) = anum_n / (c_1 ... c_n) for integers anum_n, the law is equivalent
 to nu_p(anum_n) = n * shift, shift = delta + nu_p(6N) = nu_p(z_0) + nu_p(6).
 The ultrametric inequality proves this for every n: in the recursion for
@@ -39,7 +40,7 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .arith import INFINITY, ValuationValue, int_valuation, is_prime, prime_factors
 from .mde import build_mde, component_series
@@ -110,9 +111,8 @@ class ValuationReport:
     nu_p(N) > 2 nu_p(z_0) hypothesis holds: the law is then proved for every
     n, and the rows are its column.  "inapplicable" means the law makes no
     claim (uncovered case, no leading role, or hypothesis failure); the rows
-    then carry observations with predicted = None.  The rows of an applicable
-    report are a tuple that other reports of the same law key may share (see
-    the module docstring); tuples are immutable, so no report can change them.
+    then carry observations with predicted = None.  An applicable report's
+    rows may be shared (see the module docstring).
     """
 
     triple: RepTriple
@@ -216,10 +216,10 @@ def _delta_for_lead(t: RepTriple, case: PrimeCase, lead: Optional[int]) -> tuple
 
 
 def _form_key(alpha: int, beta: int, p: int, va: int) -> tuple[int, int, int]:
-    """What _subtract_form reads of alpha k + beta, alpha >= 1, va = nu_p(alpha),
-    no term zero: (v, 0, 0) when v = nu_p(beta) is below va, a constant
-    column; else (va, alpha', beta'), the quotients by p^va.  The form k is
-    (0, 1, 0), and Nk + a - b with p not dividing a - b is (0, 0, 0)."""
+    """What _hits reads of alpha k + beta, alpha >= 1, va = nu_p(alpha), no
+    term zero: (v, 0, 0) when v = nu_p(beta) is below va, a constant column;
+    else (va, alpha', beta'), the quotients by p^va.  The form k is (0, 1, 0),
+    and Nk + a - b with p not dividing a - b is (0, 0, 0)."""
     v = min(va, int_valuation(beta, p)) if beta else va
     if v < va:
         return v, 0, 0
@@ -227,49 +227,38 @@ def _form_key(alpha: int, beta: int, p: int, va: int) -> tuple[int, int, int]:
     return va, alpha // q, beta // q
 
 
-def _subtract_form(inc: list[int], key: tuple[int, int, int], p: int) -> None:
-    """Subtract nu_p(alpha k + beta) from inc[k - 1], k = 1..n = len(inc), for
-    the form of key (v, alpha', beta') = _form_key(alpha, beta, p, va): v from
-    every entry (one list pass); then, as p^e divides alpha' k + beta' exactly
-    on k = -beta' / alpha' mod p^e, 1 along that progression for each
-    p^e <= alpha' n + |beta'|, n/p + n/p^2 + ... steps (none for alpha' = 0).
-    """
-    v, alpha, beta = key
-    if v:
-        inc[:] = [x - v for x in inc]
-    n = len(inc)
+def _forms(t: RepTriple, lead: int, p: int, nu_level: int) -> tuple[tuple[int, int, int], ...]:
+    """The keys of the forms k, Nk + a - b, Nk + a - c of c_k = 6N * k *
+    (Nk + a - b) * (Nk + a - c), a = lead, nu_level = nu_p(N)."""
+    b, c = (e for e in (t.A, t.B, t.C) if e != lead)
+    return (0, 1, 0), _form_key(t.N, lead - b, p, nu_level), _form_key(t.N, lead - c, p, nu_level)
+
+
+def _hits(key: tuple[int, int, int], p: int, n: int) -> Iterator[range]:
+    """For the form of key (v, alpha', beta') = _form_key(alpha, beta, p, va),
+    nu_p(alpha k + beta) = v + #{e >= 1 : p^e | alpha' k + beta'}: for each
+    p^e <= alpha' n + |beta'| the indices k - 1, k = 1..n, of the one
+    progression k = -beta' / alpha' mod p^e (none for alpha' = 0)."""
+    _, alpha, beta = key
     bound, q = alpha * n + abs(beta), p
     while q <= bound:
-        for i in range((-beta * pow(alpha, -1, q) - 1) % q, n, q):
-            inc[i] -= 1
+        yield range((-beta * pow(alpha, -1, q) - 1) % q, n, q)
         q *= p
 
 
 @lru_cache(maxsize=_LAW_CACHE_SIZE)
 def _law_rows(p: int, delta: int, n: int, forms: tuple[tuple[int, int, int], ...]) -> Rows:
-    """The rows (m, v_m, v_m), m = 1..n, of the column v_m = m * delta - D_m,
-    D_m the sum over k <= m of nu_p of the forms; one tuple per key, shared
-    by every report with that key."""
-    inc = [delta] * n
+    """The rows (m, v_m, v_m), m = 1..n, of the law's column v_m = m * delta -
+    D_m, D_m the sum over k <= m of nu_p of the forms: the increments start at
+    delta minus the forms' constant valuations, lose 1 along each progression
+    of _hits, and are accumulated once."""
+    inc = [delta - sum(key[0] for key in forms)] * n
     for key in forms:
-        _subtract_form(inc, key, p)
+        for hits in _hits(key, p, n):
+            for i in hits:
+                inc[i] -= 1
     column = list(accumulate(inc))
     return tuple(zip(range(1, n + 1), column, column))
-
-
-def _law(t: RepTriple, lead: int, p: int, delta: int, nu_level: int, n: int) -> Rows:
-    """The law's rows (m, v_m, v_m) for m = 1..n, v_m = m * delta - D_m, D_m =
-    nu_p(prod_{k<=m} k lambda(k)), nu_level = nu_p(N): the increments
-    delta - nu_p(k lambda(k)) from the forms k, Nk + a - b, Nk + a - c of
-    c_k = 6N * k * (Nk + a - b) * (Nk + a - c), a = lead, accumulated once.
-    With the fourth factor v_m is m * shift - nu_p(c_1 ... c_m), shift =
-    delta + nu_p(6N).  The rows depend on p, delta, n and the forms' keys
-    alone, so _law_rows builds them once per key.
-    """
-    b, c = (e for e in (t.A, t.B, t.C) if e != lead)
-    forms = ((0, 1, 0), _form_key(t.N, lead - b, p, nu_level),
-             _form_key(t.N, lead - c, p, nu_level))
-    return _law_rows(p, delta, n, forms)
 
 
 def _coeff_valuations(fracs: Iterable[tuple[int, int]], p: int) -> list[ValuationValue]:
@@ -279,7 +268,8 @@ def _coeff_valuations(fracs: Iterable[tuple[int, int]], p: int) -> list[Valuatio
 
 
 def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
-    """The law's value n*delta - nu_p(prod_{k<=n} k lambda(k)).
+    """The law's value n*delta - nu_p(prod_{k<=n} k lambda(k)), counted from
+    the progressions of _hits without building the column.
 
     Raises FormulaInapplicable when no covered case applies or the hypothesis
     fails for this lead.
@@ -290,7 +280,9 @@ def predicted_valuation(t: RepTriple, p: int, lead: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"predicted_valuation needs n >= 1, got {n}")
-    return _law(t, lead, p, *_delta_for_lead(t, classify_prime(t, p), lead), n)[-1][1]
+    delta, nu_level = _delta_for_lead(t, classify_prime(t, p), lead)
+    return n * delta - sum(key[0] * n + sum(map(len, _hits(key, p, n)))
+                           for key in _forms(t, lead, p, nu_level))
 
 
 def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> ValuationReport:
@@ -320,10 +312,6 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
     By the ultrametric inequality nu_p(anum_n) = n s; tests/test_sympy_oracle.py
     expands both identities.  Where the law is inapplicable the observed
     column is read from the reduced coefficients of component_series.
-
-    An applicable report's rows come from a cache of at most 128 row tuples
-    (128 * n_max rows at worst) and are shared, immutable, with every report
-    of the same p, delta, n_max and forms.
     """
     if n_max < 1:
         raise ValueError(f"verify_formula needs n_max >= 1, got {n_max}")
@@ -338,7 +326,7 @@ def verify_formula(t: RepTriple, p: int, n_max: int = DEFAULT_N_MAX) -> Valuatio
         rows = tuple(zip(range(1, n_max + 1), observed, [None] * n_max))
     else:
         applicable, reason = True, None
-        rows = _law(t, lead, p, delta, nu_level, n_max)
+        rows = _law_rows(p, delta, n_max, _forms(t, lead, p, nu_level))
     return ValuationReport(
         triple=t,
         prime=p,

@@ -1,6 +1,7 @@
 """Prime classification, the valuation law, and denominator profiles."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain
 
 import pytest
@@ -25,9 +26,9 @@ from vvmf3.valuation import (
     _delta_for_lead,
     _LAW_CACHE_SIZE,
     _form_key,
-    _law,
+    _forms,
+    _hits,
     _law_rows,
-    _subtract_form,
     classify_prime,
     denominator_profile,
     predicted_valuation,
@@ -253,9 +254,14 @@ def test_progression_valuations_match_direct_valuations(p, i, u, j, v, n) -> Non
     alpha, beta = p**i * u, v * p**j
     # alpha k + beta = 0 at an integer k = -beta / alpha in 1..n has no finite valuation.
     assume(beta % alpha or not 1 <= -beta // alpha <= n)
-    inc = [0] * n
-    _subtract_form(inc, _form_key(alpha, beta, p, int_valuation(alpha, p)), p)
-    assert inc == [-int_valuation(alpha * k + beta, p) for k in range(1, n + 1)]
+    key = _form_key(alpha, beta, p, int_valuation(alpha, p))
+    inc = [-key[0]] * n
+    for hits in _hits(key, p, n):
+        for i in hits:
+            inc[i] -= 1
+    direct = [int_valuation(alpha * k + beta, p) for k in range(1, n + 1)]
+    assert inc == [-v for v in direct]
+    assert sum(map(len, _hits(key, p, n))) == sum(direct) - key[0] * n
 
 
 @pytest.fixture
@@ -297,7 +303,8 @@ def test_law_matches_reference_law(cold_law) -> None:
         expected.append(tuple(zip(range(1, n + 1), column, column)))
     for _ in ("cleared", "warm"):
         for (t, p, lead, delta, n), rows in zip(pairs, expected):
-            assert _law(t, lead, p, delta, int_valuation(t.N, p), n) == rows, (t, p, lead)
+            forms = _forms(t, lead, p, int_valuation(t.N, p))
+            assert _law_rows(p, delta, n, forms) == rows, (t, p, lead)
     assert cold_law.cache_info().hits > len(pairs)
 
 
@@ -305,7 +312,8 @@ def test_verify_formula_reports_from_cleared_and_warm_cache(cold_law) -> None:
     # Every criterion pair with N <= 60: each report built from a cleared
     # cache equals the one the sweep builds with the cache warm, whose 9,308
     # reports share 61 row tuples.  The cache never holds more than its bound,
-    # also when predicted_valuation asks for 400 distinct columns.
+    # and predicted_valuation, which counts the law's progressions, leaves it
+    # as it is, also at n = 10^12.
     pairs = [(t, p) for N in range(2, 61) for p in ubd_criterion(N) for t in enumerate_level(N)]
     assert len(pairs) == 9_308
     cleared = []
@@ -325,8 +333,35 @@ def test_verify_formula_reports_from_cleared_and_warm_cache(cold_law) -> None:
     t = validate_triple(1, 3, 7, 11)
     for n in range(1, 401):
         assert predicted_valuation(t, 11, 1, n) == -n - n // 11 - n // 121
-        assert cold_law.cache_info().currsize <= _LAW_CACHE_SIZE
-    assert cold_law.cache_info().currsize == _LAW_CACHE_SIZE
+    n = 10**12
+    assert predicted_valuation(t, 11, 1, n) == -n - sum(n // 11**e for e in range(1, 12))
+    assert cold_law.cache_info() == info
+
+
+def test_predicted_valuation_counts_the_law_rows(cold_law, monkeypatch) -> None:
+    # The two readers of _hits tied: the count of predicted_valuation equals
+    # the column _law_rows walks, on every lead where the hypothesis holds at
+    # every prime of every level N <= 60, at short and long n.  classify_prime
+    # is pure; memoised here, the 219,600 calls time the count, not the
+    # classifier.
+    applicable = []
+    for t in (t for N in range(2, 61) for t in enumerate_level(N)):
+        for p, _ in prime_factors(t.N):
+            case = classify_prime(t, p)
+            for lead in (t.A, t.B, t.C):
+                try:
+                    delta, nu_level = _delta_for_lead(t, case, lead)
+                except FormulaInapplicable:
+                    continue
+                applicable.append((t, p, lead, delta, _forms(t, lead, p, nu_level)))
+    assert len(applicable) == 36_600
+    # Forms with a constant valuation v > 0, which the count takes as v * n.
+    assert any(v for *_, forms in applicable for v, _, _ in forms)
+    monkeypatch.setattr(vvmf3.valuation, "classify_prime", lru_cache(None)(classify_prime))
+    for m in (1, 2, 7, 49, 121, 200):
+        for t, p, lead, delta, forms in applicable:
+            assert predicted_valuation(t, p, lead, m) == _law_rows(p, delta, m, forms)[m - 1][1], \
+                (t, p, lead, m)
 
 
 def test_predicted_valuation_matches_verify_formula_to_400() -> None:
@@ -559,7 +594,7 @@ MODULAR_PINS = [
 ]
 
 
-def test_verify_formula_modular_path_matches_exact_path(monkeypatch) -> None:
+def test_verify_formula_rows_match_exact_recursion(monkeypatch) -> None:
     # At every prime of every level N <= 30, covered or not, and of the pins:
     # the rows against rows built from the exact recursion, and the observed
     # column against the reduced Fractions.  Every applicable pair reports

@@ -96,8 +96,8 @@ MUTANTS = (
     (
         "law_without_k_factor",
         "src/vvmf3/valuation.py",
-        "forms = ((0, 1, 0), _form_key(",
-        "forms = (_form_key(",
+        "return (0, 1, 0), _form_key(",
+        "return _form_key(",
         "drops the form k of c_k from the law's key, and so its factor k from "
         "the column",
         "killed",
@@ -116,12 +116,22 @@ MUTANTS = (
     (
         "law_without_constant_valuation",
         "src/vvmf3/valuation.py",
-        "inc[:] = [x - v for x in inc]",
-        "pass",
-        "skips the list pass that subtracts a form's constant valuation v of "
-        "its key, nu_p(alpha) or the smaller nu_p(beta)",
+        "inc = [delta - sum(key[0] for key in forms)] * n",
+        "inc = [delta] * n",
+        "starts the column's increments at delta, without the forms' constant "
+        "valuations v of their keys, nu_p(alpha) or the smaller nu_p(beta)",
         "killed",
         ("tests/test_valuation.py::test_law_matches_reference_law",),
+    ),
+    (
+        "closed_form_without_constant_valuation",
+        "src/vvmf3/valuation.py",
+        "sum(key[0] * n + sum(map(len, _hits(key, p, n)))",
+        "sum(sum(map(len, _hits(key, p, n)))",
+        "drops v * n, the forms' constant valuations, from the count of "
+        "predicted_valuation, so it leaves the column _law_rows walks",
+        "killed",
+        ("tests/test_valuation.py::test_predicted_valuation_counts_the_law_rows",),
     ),
     (
         "rows_second_difference_halved",

@@ -13,7 +13,11 @@ one interpreter, with perf_counter; each figure is the minimum over
 - ``pins``: verify_formula at n_max = 100, 300 and 1000 on (1,3,7,11) at
   p = 11 (shift 0) and on three pairs with shift > 0, one each at p = 3, 2
   and 7, each run after clearing the law's row cache, so that the figures
-  show the law's cost in n.
+  show the law's cost in n;
+- ``predicted``: predicted_valuation on (1,3,7,11) at p = 11 for
+  n = 1..400 and at n = 10^12, with the law's row cache info before and
+  after; predicted_valuation counts the law's progressions and leaves the
+  cache as it is.
 
 It prints one JSON object, with a sha256 of the repr of every report, so two
 checkouts can be shown to give the same reports.
@@ -33,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from inputs import make_inputs  # noqa: E402
-from vvmf3 import validate_triple, verify_formula  # noqa: E402
+from vvmf3 import predicted_valuation, validate_triple, verify_formula  # noqa: E402
 from vvmf3.valuation import _law_rows  # noqa: E402
 
 PINS = (((1, 3, 7, 11), 11), ((0, 1, 26, 27), 3), ((0, 1, 127, 512), 2), ((1, 2, 340, 343), 7))
@@ -80,12 +84,22 @@ def main() -> None:
             digest.update(repr(verify_formula(t, p, order)).encode())
             row[str(order)] = best(lambda: verify_formula(t, p, order), args.repeat,
                                    _law_rows.cache_clear)
+    t = validate_triple(1, 3, 7, 11)
+    cache_before = _law_rows.cache_info()._asdict()
+    predicted = {
+        "n_1_to_400_s": best(lambda: [predicted_valuation(t, 11, 1, n) for n in range(1, 401)],
+                             args.repeat),
+        "n_1e12_s": best(lambda: predicted_valuation(t, 11, 1, 10**12), args.repeat),
+        "law_cache_before": cache_before,
+        "law_cache_after": _law_rows.cache_info()._asdict(),
+    }
     print(json.dumps({
         "python": platform.python_version(),
         "seed": args.seed,
         "repeat": args.repeat,
         "sweep": sweep,
         "pins_verify_formula_s": pins,
+        "predicted": predicted,
         "reports_sha256": digest.hexdigest(),
     }, indent=1))
 
