@@ -44,7 +44,15 @@ from operator import add
 from typing import Iterator, Optional
 
 from .arith import RationalLike, _exact
-from .qseries import QExpansion, _closes, _eisenstein_coeffs, _horner, _row_sums, modular_derivative
+from .qseries import (
+    QExpansion,
+    _closes,
+    _eisenstein_coeffs,
+    _horner,
+    _leading,
+    _row_sums,
+    modular_derivative,
+)
 from .reps import RepTriple
 
 __all__ = [
@@ -287,7 +295,7 @@ def ode_residual(sys: MDESystem, f: QExpansion) -> QExpansion:
     q^(s/e + n) times 6N^3 e^3 is the recursion's row sum: the diagonal
     6N^3 v_n (v_n - e)(v_n - 2e) a_n plus the sum over j <= n of a_j R_{n-j}(j),
     R_m(j) = N^2 e h2[m] v_j (v_j - e) + N e^2 h1[m] v_j + e^3 h0[m], from
-    _rows; _row_sums gives both times its l.  It vanishes on recursion output
+    _rows; _row_sums gives both times its d.  It vanishes on recursion output
     and isolates phi(s/e + n) times the perturbation of a series.
     """
     T = min(f.order, sys.order)
@@ -295,10 +303,10 @@ def ode_residual(sys: MDESystem, f: QExpansion) -> QExpansion:
     n_level = sys.triple.N
     cube = 6 * n_level**3
     rows = _rows(sys, (n_level * n_level * e, n_level * e * e, e**3), s, e, 0, T)
-    sums = _row_sums(f.coeffs[: T + 1], map(reversed, rows))
+    sums = _row_sums(f, map(reversed, rows))
     return QExpansion(f.exponent, [
-        Fraction(cube * v * (v - e) * (v - 2 * e) * x + c, cube * e**3 * l)
-        for v, (l, x, c) in zip(count(s, e), sums)
+        Fraction(cube * v * (v - e) * (v - 2 * e) * x + c, cube * e**3 * d)
+        for v, (d, x, c) in zip(count(s, e), sums)
     ])
 
 
@@ -320,15 +328,17 @@ class DerivedBasis:
 
 
 def derived_basis(sys: MDESystem, f0: MinimalVector) -> DerivedBasis:
-    """Apply the weight-k0 and weight-(k0+2) derivatives to every component."""
+    """Apply the weight-k0 and weight-(k0+2) derivatives to every component.
+
+    D^2 runs on the integer form of D, and the matrix reads only the leading
+    coefficients, so no coefficient of DF or D^2F is reduced before a caller
+    reads its .coeffs.
+    """
     k0 = sys.triple.k0
     T = min(min(c.order for c in f0.components), sys.order)
     first = tuple(modular_derivative(c.truncate(T), k0) for c in f0.components)
     second = tuple(modular_derivative(c, k0 + 2) for c in first)
-    matrix = tuple(
-        (f0.components[i].coeffs[0], first[i].coeffs[0], second[i].coeffs[0])
-        for i in range(3)
-    )
+    matrix = tuple(tuple(map(_leading, fs)) for fs in zip(f0.components, first, second))
     m = matrix
     det = (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])

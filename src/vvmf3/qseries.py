@@ -8,14 +8,20 @@ loss is always explicit, and f.truncate(T) is the one way to shorten a series.
 A float entering a series raises TypeError.
 
 Every row sum over a series, sum_{j<=n} a_j row_n[j], runs on one integer
-form of it, its blocks.  With L_n the lcm of the reduced denominators of
-a_0..a_n, a block closes at n once it holds more than 4 sqrt(n + 1)
-coefficients (_closes), or at the last one, and keeps the integers a_j L_n
-and the ratio of L_n to the L at the previous close.  So each integer is
-about as wide as its own block's coefficients, not as the last one.  _horner
-sums a row over blocks, acc = acc * ratio + dot, over the lcm of the block
-where the row ends; _row_sums takes every row sum of a given series, and
-mde.component_series builds its blocks as its coefficients come.
+form of it, its blocks, built once per series and kept in it.  A block is a
+run of consecutive coefficients a_j; it keeps the integers a_j D_k over a
+common multiple D_k of their denominators, and the ratio of D_k to the D of
+the block before it.  _blocks builds them from the coefficients: with L_n
+the lcm of the reduced denominators of a_0..a_n, a block closes at n once it
+holds more than 4 sqrt(n + 1) coefficients (_closes), or at the last one,
+and D_k = L_n.  So each integer is about as wide as its own block's
+coefficients, not as the last one.  _horner sums a row over blocks,
+acc = acc * ratio + dot, over the D of the block where the row ends;
+_row_sums takes every row sum of a series, and mde.component_series builds
+its blocks as its coefficients come.  modular_derivative returns a series
+made from its integer form, on the blocks of its argument with each D_k
+times 12 kd e (see there); such a series reduces its coefficients to
+Fractions on the first read of .coeffs.
 
 The module also provides the weight-k Eisenstein series (whose numerators
 build_mde reads to construct the differential equation) and the
@@ -26,8 +32,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, count
-from operator import mul
+from itertools import accumulate, count, islice
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .arith import RationalLike, _exact, bernoulli, rational_str, sigma_k
@@ -40,9 +46,15 @@ __all__ = [
 
 
 class QExpansion:
-    """Immutable truncated q-series q^exponent * sum(coeffs[n] * q^n)."""
+    """Immutable truncated q-series q^exponent * sum(coeffs[n] * q^n).
 
-    __slots__ = ("_exponent", "_coeffs")
+    A series holds its reduced coefficients, its blocks, or both.  One made
+    by the constructor builds its blocks at the first row sum over it; one
+    made from its integer form reduces its coefficients at the first read of
+    .coeffs.  What is made is kept, and no value depends on which came first.
+    """
+
+    __slots__ = ("_exponent", "_coeffs", "_blocks")
 
     def __init__(self, exponent: RationalLike, coeffs: Iterable[RationalLike]):
         exponent = _exact(exponent)
@@ -53,6 +65,14 @@ class QExpansion:
             raise ValueError("a QExpansion needs at least the constant coefficient")
         self._exponent = exponent
         self._coeffs = cs
+        self._blocks = None
+
+    @classmethod
+    def _from_blocks(cls, exponent: Fraction, blocks: list[tuple[int, list[int]]]) -> "QExpansion":
+        """The series of the given integer form, its coefficients not yet reduced."""
+        series = cls.__new__(cls)
+        series._exponent, series._coeffs, series._blocks = exponent, None, blocks
+        return series
 
     @property
     def exponent(self) -> Fraction:
@@ -60,11 +80,19 @@ class QExpansion:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            d, cs = 1, []
+            for ratio, ints in self._blocks:
+                d *= ratio
+                cs.extend(Fraction(x, d) for x in ints)
+            self._coeffs = tuple(cs)
         return self._coeffs
 
     @property
     def order(self) -> int:
         """Largest n for which the coefficient of q^(exponent+n) is exact."""
+        if self._coeffs is None:
+            return sum(len(ints) for _, ints in self._blocks) - 1
         return len(self._coeffs) - 1
 
     def truncate(self, order: int) -> "QExpansion":
@@ -73,11 +101,11 @@ class QExpansion:
             raise ValueError(f"truncation order must lie in [0, {self.order}], got {order}")
         if order == self.order:
             return self
-        return QExpansion(self._exponent, self._coeffs[: order + 1])
+        return QExpansion(self._exponent, self.coeffs[: order + 1])
 
     def scale(self, factor: RationalLike) -> "QExpansion":
         factor = _exact(factor)
-        return QExpansion(self._exponent, (factor * c for c in self._coeffs))
+        return QExpansion(self._exponent, (factor * c for c in self.coeffs))
 
     def __neg__(self) -> "QExpansion":
         return self.scale(-1)
@@ -90,11 +118,7 @@ class QExpansion:
                 "cannot add expansions with mismatched leading exponents "
                 f"{self._exponent} and {other._exponent}"
             )
-        order = min(self.order, other.order)
-        return QExpansion(
-            self._exponent,
-            (self._coeffs[n] + other._coeffs[n] for n in range(order + 1)),
-        )
+        return QExpansion(self._exponent, map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         if not isinstance(other, QExpansion):
@@ -108,11 +132,11 @@ class QExpansion:
             return self.scale(other)
         if not isinstance(other, QExpansion):
             return NotImplemented
-        order = min(self.order, other.order)
-        lb = math.lcm(*(c.denominator for c in other._coeffs[: order + 1]))
-        b = [c.numerator * (lb // c.denominator) for c in other._coeffs[: order + 1]]
-        rows = (b[n::-1] for n in range(order + 1))
-        prod = [Fraction(c, l * lb) for l, _, c in _row_sums(self._coeffs[: order + 1], rows)]
+        cs = other.coeffs[: self.order + 1]
+        lb = math.lcm(*(c.denominator for c in cs))
+        b = [c.numerator * (lb // c.denominator) for c in cs]
+        rows = (b[n::-1] for n in range(len(b)))
+        prod = [Fraction(c, d * lb) for d, _, c in _row_sums(self, rows)]
         exponent = self._exponent + other._exponent
         if exponent >= 1:
             # Fold the integer part of the exponent into the series: one exact
@@ -128,13 +152,13 @@ class QExpansion:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QExpansion):
             return NotImplemented
-        return self._exponent == other._exponent and self._coeffs == other._coeffs
+        return self._exponent == other._exponent and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self._exponent, self._coeffs))
+        return hash((self._exponent, self.coeffs))
 
     def __repr__(self) -> str:
-        head = ", ".join(rational_str(c) for c in self._coeffs[:4])
+        head = ", ".join(rational_str(c) for c in self.coeffs[:4])
         tail = ", ..." if self.order > 3 else ""
         return (
             f"QExpansion(q^{rational_str(self._exponent)}; "
@@ -145,7 +169,7 @@ class QExpansion:
         """JSON form {"exponent": "A/N", "coeffs": ["1", "-3", ...], "order": T}."""
         return {
             "exponent": rational_str(self._exponent),
-            "coeffs": [rational_str(c) for c in self._coeffs],
+            "coeffs": [rational_str(c) for c in self.coeffs],
             "order": self.order,
         }
 
@@ -186,14 +210,30 @@ def _horner(blocks: Iterable[tuple[int, Sequence[int]]], row: Iterator[int]) -> 
     return acc
 
 
-def _row_sums(coeffs: Sequence[Fraction], rows: Iterable[Iterable[int]]) -> Iterator[tuple]:
-    """(l, a_n l, sum_{j<=n} a_j l row_n[j]) for each n, l the lcm of a_n's
-    block, from rows that list row n in the order of a_0, ..., a_n."""
-    blocks, rows, l = _blocks(coeffs), iter(rows), 1
+def _int_form(f: QExpansion) -> list[tuple[int, list[int]]]:
+    """The blocks of f, built by _blocks on the first call and kept in f."""
+    if f._blocks is None:
+        f._blocks = _blocks(f.coeffs)
+    return f._blocks
+
+
+def _leading(f: QExpansion) -> Fraction:
+    """The constant coefficient of f, without reducing the others."""
+    if f._coeffs is None:
+        ratio, ints = f._blocks[0]
+        return Fraction(ints[0], ratio)
+    return f._coeffs[0]
+
+
+def _row_sums(f: QExpansion, rows: Iterable[Iterable[int]]) -> Iterator[tuple]:
+    """(d, a_n d, sum_{j<=n} a_j d row_n[j]) for each row n, d the D of a_n's
+    block, from rows that list row n in the order of a_0, ..., a_n.  There
+    may be fewer rows than coefficients of f; the sums stop with the rows."""
+    blocks, rows, d = _int_form(f), iter(rows), 1
     for k, (ratio, ints) in enumerate(blocks, 1):
-        l, head = l * ratio, blocks[:k]
+        d, head = d * ratio, blocks[:k]
         for x, row in zip(ints, rows):
-            yield l, x, _horner(head, iter(row))
+            yield d, x, _horner(head, iter(row))
 
 
 # Eisenstein coefficients per weight, one list each; extended on demand.
@@ -230,9 +270,12 @@ def modular_derivative(f: QExpansion, k: RationalLike) -> QExpansion:
 
     theta multiplies the coefficient of q^(r+n) by (r+n).  The result is a
     weight k+2 object when f has weight k, to the order of f; truncate f
-    first for a shorter result.  With (l, x, c) from _row_sums of f against
+    first for a shorter result.  With (d, x, c) from _row_sums of f against
     the E2 numerators, r = s/e, v = s + e n and k = kn/kd, the coefficient of
-    q^(r+n) is (12 kd v x - kn e c) / (12 kd e l).
+    q^(r+n) is (12 kd v x - kn e c) / (12 kd e d).  The result is made from
+    its integer form: these numerators on the blocks of f, whose D are those
+    of f times 12 kd e, so only the first ratio takes the factor.  Its
+    coefficients are reduced on the first read of .coeffs.
 
     >>> modular_derivative(QExpansion(0, [1, 0, 0]), 0).coeffs
     (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))
@@ -240,8 +283,8 @@ def modular_derivative(f: QExpansion, k: RationalLike) -> QExpansion:
     kn, kd = _exact(k).as_integer_ratio()
     s, e = f.exponent.as_integer_ratio()
     e2 = [x.numerator for x in _eisenstein_coeffs(2, f.order)]
-    sums = _row_sums(f.coeffs, (e2[n::-1] for n in range(f.order + 1)))
-    return QExpansion(f.exponent, [
-        Fraction(12 * kd * v * x - kn * e * c, 12 * kd * e * l)
-        for v, (l, x, c) in zip(count(s, e), sums)
-    ])
+    sums = _row_sums(f, (e2[n::-1] for n in range(f.order + 1)))
+    ys = (12 * kd * v * x - kn * e * c for v, (_, x, c) in zip(count(s, e), sums))
+    blocks = [(ratio, list(islice(ys, len(ints)))) for ratio, ints in _int_form(f)]
+    blocks[0] = (blocks[0][0] * 12 * kd * e, blocks[0][1])
+    return QExpansion._from_blocks(f.exponent, blocks)

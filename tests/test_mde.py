@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vvmf3.mde
+import vvmf3.qseries
 from vvmf3.mde import (
     _recursion_c,
     build_mde,
@@ -35,6 +36,7 @@ from conftest import (
     oracle_phi,
     oracle_phi_j,
     SEED,
+    reference_modular_derivative,
     reference_ode_residual,
     reference_unreduced,
     sample_triples,
@@ -381,6 +383,40 @@ def test_derived_basis_determinant_sampled():
         r = t.exponents
         assert basis.determinant == (r[1] - r[0]) * (r[2] - r[0]) * (r[2] - r[1])
         assert basis.determinant != 0
+
+
+def test_derived_basis_matches_reference_derivatives():
+    # DF and D^2F against the Fraction reference of the derivative, applied
+    # twice; orders 0 and 1 make a single block, order 30 several.
+    for t, order in [(ANCHOR, 0), (UNBOUNDED, 1), (UNBOUNDED, 30),
+                     *((t, 30) for t in sample_triples(3, 60, seed=SEED + 2))]:
+        sys = build_mde(t, order)
+        basis = derived_basis(sys, minimal_vector(sys))
+        for f, df, d2f in zip(basis.f0.components, basis.first, basis.second):
+            first = reference_modular_derivative(f, t.k0)
+            assert df == first, (t, order)
+            assert d2f == reference_modular_derivative(first, t.k0 + 2), (t, order)
+
+
+def test_certification_builds_each_series_blocks_once(monkeypatch):
+    # One certification makes exactly three block passes, one per component
+    # in its ode_residual: derived_basis reuses them, and D^2 runs on the
+    # blocks of D.
+    calls = []
+
+    def counting(cs):
+        calls.append(len(cs))
+        return _blocks(cs)
+
+    monkeypatch.setattr(vvmf3.qseries, "_blocks", counting)
+    sys = build_mde(UNBOUNDED, 50)
+    mv = minimal_vector(sys)
+    residuals = [ode_residual(sys, f) for f in mv.components]
+    basis = derived_basis(sys, mv)
+    [denominator_profile(f) for f in mv.components]
+    assert calls == [51] * 3
+    assert not any(c for r in residuals for c in r.coeffs)
+    assert basis.determinant == basis.vandermonde
 
 
 def test_build_mde_validation():

@@ -288,3 +288,31 @@ def test_modular_derivative_matches_series_reference(f, k):
     g = modular_derivative(f, k)
     assert g == reference_modular_derivative(f, k)
     assert all(type(c) is Fraction for c in g.coeffs)
+
+
+@pytest.mark.parametrize("f, k", [
+    (QExpansion(Fraction(1, 7), [1]), 2),
+    (QExpansion(Fraction(2, 7), [1, Fraction(-40, 33), 0, 5]), Fraction(7, 3)),
+    (QExpansion(Fraction(5, 6), [Fraction(2**n - 1, 3**n) for n in range(40)]), -4),
+], ids=["one-term", "four-terms", "several-blocks"])
+def test_series_from_integer_form_behaves_as_reduced(f, k):
+    # A derivative is made from its integer form; under each operation it
+    # gives what the series of its reduced coefficients gives, whether the
+    # operation is the first read of its coefficients or comes after it.
+    ref = reference_modular_derivative(f, k)
+    other = QExpansion(f.exponent, [Fraction(n - 3, 2 * n + 1) for n in range(f.order + 3)])
+    ops = {
+        "==": lambda g: (g == ref, ref == g, g == ref.scale(2), g == g),
+        "hash": hash,
+        "order": lambda g: g.order,
+        "truncate": lambda g: [g.truncate(m) for m in range(g.order + 1)],
+        "repr": repr,
+        "to_json_dict": lambda g: g.to_json_dict(),
+        "*": lambda g: (g * other, other * g, g * g, g * 3),
+    }
+    for name, op in ops.items():
+        g = modular_derivative(f, k)
+        assert g._coeffs is None, name
+        assert op(g) == op(ref), name
+        assert g.coeffs == ref.coeffs
+        assert op(g) == op(ref), name

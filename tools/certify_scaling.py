@@ -5,15 +5,18 @@
 It measures the package in the ``src`` directory of its own checkout.  A
 certification is the sequence of perfbench's basis_certify item: build_mde,
 minimal_vector, ode_residual of each component, derived_basis and
-denominator_profile of each component.  Each stage runs once per order in
-this one interpreter, timed with perf_counter; the Eisenstein cache is
-emptied before each order so every order starts cold.  The script checks
-that the residuals vanish and that the determinant equals the Vandermonde
-product, and prints one JSON object: per order the seconds of each stage,
-their total, the bit length of the largest coefficient, a sha256 of the
-residuals, DF0, D^2F0, matrix and determinant, and a sha256 of the three
-denominator profiles (window, verdict and every PrimeStats field), so two
-checkouts can be shown to compute the same numbers.
+denominator_profile of each component.  derived_basis leaves the
+coefficients of DF0 and D^2F0 unreduced until they are read, so one more
+stage, derived_coeffs_x6, reads .coeffs of those six series: total_s counts
+the reduction that a caller such as ``vvmf3 basis`` pays.  Each stage runs
+once per order in this one interpreter, timed with perf_counter; the
+Eisenstein cache is emptied before each order so every order starts cold.
+The script checks that the residuals vanish and that the determinant equals
+the Vandermonde product, and prints one JSON object: per order the seconds
+of each stage, their total, the bit length of the largest coefficient, a
+sha256 of the residuals, DF0, D^2F0, matrix and determinant, and a sha256 of
+the three denominator profiles (window, verdict and every PrimeStats field),
+so two checkouts can be shown to compute the same numbers.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ def certify(t: "vvmf3.RepTriple", order: int) -> dict:
     residuals = timed("ode_residual_x3",
                       lambda: [vvmf3.ode_residual(sys_, f) for f in mv.components])
     basis = timed("derived_basis", lambda: vvmf3.derived_basis(sys_, mv))
+    timed("derived_coeffs_x6", lambda: [f.coeffs for f in (*basis.first, *basis.second)])
     profiles = timed("denominator_profile_x3",
                      lambda: [vvmf3.denominator_profile(f) for f in mv.components])
     if any(c != 0 for r in residuals for c in r.coeffs):

@@ -199,6 +199,26 @@ MUTANTS = (
          "tests/test_qseries.py::test_modular_derivative_matches_series_reference"),
     ),
     (
+        "derivative_first_ratio_without_factor",
+        "src/vvmf3/qseries.py",
+        "blocks[0] = (blocks[0][0] * 12 * kd * e, blocks[0][1])",
+        "blocks[0] = (blocks[0][0], blocks[0][1])",
+        "leaves the factor 12 kd e out of the first ratio of a derivative's "
+        "integer form, so its coefficients lie over the D of the argument",
+        "killed",
+        ("tests/test_qseries.py::test_modular_derivative_matches_series_reference",),
+    ),
+    (
+        "blocks_rebuilt_every_row_sum",
+        "src/vvmf3/qseries.py",
+        "if f._blocks is None:",
+        "if True:",
+        "builds the blocks of a series again at every row sum, from its reduced "
+        "coefficients; the sums are the same",
+        "killed",
+        ("tests/test_mde.py::test_certification_builds_each_series_blocks_once",),
+    ),
+    (
         "denominator_profile_ratio_minus_e",
         "src/vvmf3/valuation.py",
         "pairs.append((n, (pairs[-1][1] if pairs else 0) - e))",
