@@ -181,7 +181,7 @@ def _json_template(n: int, cls: Classification) -> str:
             + _pct(_class_text(cls)) + "\n    }")
 
 
-def _cmd_coeffs(args: argparse.Namespace) -> tuple[_Result, int]:
+def _cmd_coeffs(args: argparse.Namespace) -> _Result:
     t = _parse_triple(args.triple)
     terms = _terms(args, 0)
     comps = minimal_vector(build_mde(t, terms)).components
@@ -197,10 +197,10 @@ def _cmd_coeffs(args: argparse.Namespace) -> tuple[_Result, int]:
         f"exponents {', '.join(_fmt(c.exponent) for c in comps)}",
         "",
     ]
-    return _result(json_obj, header, rows, preamble), EXIT_OK
+    return _result(json_obj, header, rows, preamble)
 
 
-def _cmd_params(args: argparse.Namespace) -> tuple[_Result, int]:
+def _cmd_params(args: argparse.Namespace) -> _Result:
     t = _parse_triple(args.triple)
     sys_ = build_mde(t, 6)
     rows: list[tuple[str, object]] = [
@@ -218,10 +218,10 @@ def _cmd_params(args: argparse.Namespace) -> tuple[_Result, int]:
         fields = {k: _fmt(v) if type(v) is Fraction else v for k, v in rows}
         return {"triple": t.to_json_dict(), **fields}
 
-    return _result(json_obj, ("field", "value"), rows), EXIT_OK
+    return _result(json_obj, ("field", "value"), rows)
 
 
-def _cmd_valuations(args: argparse.Namespace) -> tuple[_Result, int]:
+def _cmd_valuations(args: argparse.Namespace) -> _Result:
     t = _parse_triple(args.triple)
     report = verify_formula(t, args.prime, _terms(args, 1))
     preamble = [
@@ -231,10 +231,10 @@ def _cmd_valuations(args: argparse.Namespace) -> tuple[_Result, int]:
         "",
     ]
     header = ("n", "observed", "predicted")
-    return _result(report.to_json_dict, header, report.rows, preamble), EXIT_OK
+    return _result(report.to_json_dict, header, report.rows, preamble)
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[_Result, int]:
+def _cmd_classify(args: argparse.Namespace) -> _Result:
     t = _parse_triple(args.triple)
     cls = classify_triple(t)
     rows: list[tuple[str, object]] = [
@@ -244,10 +244,10 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[_Result, int]:
         ("notes", "; ".join(cls.notes)),
     ]
     return _result(lambda: {"triple": t.to_json_dict(), "classification": cls.to_json_dict()},
-                   ("field", "value"), rows), EXIT_OK
+                   ("field", "value"), rows)
 
 
-def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
+def _cmd_scan(args: argparse.Namespace) -> _Result:
     lo = args.level
     hi = args.level_max if args.level_max is not None else lo
     if lo < 1 or hi < lo:
@@ -306,10 +306,10 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[_Result, int]:
                          for c in cells]
             out.write("".join(rendered(templates, idx, rows)))
 
-    return _Result(write_json, write_csv, write_table), EXIT_OK
+    return _Result(write_json, write_csv, write_table)
 
 
-def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:
+def _cmd_family(args: argparse.Namespace) -> _Result:
     if args.family_kind == "gamma02":
         result = gamma02_family(args.M, args.A, args.x)
     else:
@@ -325,19 +325,19 @@ def _cmd_family(args: argparse.Namespace) -> tuple[_Result, int]:
         ("pattern_M", result.finite_image_pattern_m),
         *((f"chi({k})", _fmt(v)) for k, v in result.chi_exponents.items()),
     ]
-    return _result(result.to_json_dict, ("field", "value"), rows), EXIT_OK
+    return _result(result.to_json_dict, ("field", "value"), rows)
 
 
-def _cmd_eisenstein(args: argparse.Namespace) -> tuple[_Result, int]:
+def _cmd_eisenstein(args: argparse.Namespace) -> _Result:
     f = eisenstein(args.weight, _terms(args, 0))
 
     def json_obj() -> dict:
         return {"weight": args.weight, "series": f.to_json_dict()}
 
-    return _result(json_obj, ("n", "coefficient"), enumerate(f.coeffs)), EXIT_OK
+    return _result(json_obj, ("n", "coefficient"), enumerate(f.coeffs))
 
 
-def _cmd_basis(args: argparse.Namespace) -> tuple[_Result, int]:
+def _cmd_basis(args: argparse.Namespace) -> _Result:
     t = _parse_triple(args.triple)
     sys_ = build_mde(t, _terms(args, 0))
     basis = derived_basis(sys_, minimal_vector(sys_))
@@ -362,7 +362,7 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[_Result, int]:
         yield "det", basis.determinant
         yield "vandermonde", basis.vandermonde
 
-    return _result(json_obj, ("field", "value"), rows()), EXIT_OK
+    return _result(json_obj, ("field", "value"), rows())
 
 
 def _build_parser() -> _Parser:
@@ -445,7 +445,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
 
     try:
-        result, code = args.handler(args)
+        result = args.handler(args)
     except ValueError as exc:  # _CliError and the library's input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -453,14 +453,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     write = getattr(result, fmt)
     if not args.output:
         write(sys.stdout)
-        return code
+        return EXIT_OK
     try:
         with open(args.output, "w") as out:
             write(out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    return code
+    return EXIT_OK
 
 
 def main() -> None:

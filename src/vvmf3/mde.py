@@ -18,27 +18,32 @@ with alpha4 = x4/(12N)^2 and alpha6 = x6/(12N)^3.  The indicial polynomial of
 the system then has exactly A/N, B/N, C/N as roots, which is what pins x4 and
 x6 (matching the indicial cubic coefficient by coefficient forces
 alpha4 = omega/N^2 - (3 k0^2 + 12 k0 + 8)/144 and the x6 expression above).
+So it is phi(lam) = (lam - A/N)(lam - B/N)(lam - C/N), and _diagonal gives
+6N^3 u^3 phi(w/(Nu)) = 6(w - Au)(w - Bu)(w - Cu) to the recursion, the
+residual and indicial_phi: no computation reads h_j[0].
 
 The Frobenius recursion runs on scaled integers: 6N^3 * phi_m(A/N + j) and
-6N * n * lambda(n) are integers.  The first rests on the integrality of the
+6N^3 * phi(A/N + n) are integers.  The first rests on the integrality of the
 arrays h_j, which build_mde checks coefficient by coefficient with _exact_div,
 raising ArithmeticError should one fail.  component_series and ode_residual
 take their row sums over the closed blocks of a series described in qseries,
-and read their rows of the quadratic P_m(j) from _rows.
+and read their rows of the quadratic P_m(j), m >= 1, from _rows.
 
-So ode_residual is no independent check of _rows: a fault there that keeps
-each row homogeneous in (v0, d), such as a wrong factor on a difference,
-makes component_series return wrong coefficients whose residual is still
-zero.  The checks of _rows itself are the tests that compare ode_residual
-with the convolution form, and component_series with the naive and the
-unreduced recursions, all three kept in tests/conftest.py.
+So ode_residual is no independent check of _rows or _diagonal: a fault in
+_rows that keeps each row homogeneous in (v0, d), such as a wrong factor on
+a difference, or a wrong root in _diagonal, makes component_series return
+wrong coefficients whose residual is still zero.  Their checks are the tests
+that compare ode_residual with the convolution form, and component_series
+with the naive and the unreduced recursions, all three kept in
+tests/conftest.py; these read h_j[0] through the full cubic, and
+tests/test_sympy_oracle.py proves it equal to the closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import gcd
 from operator import add
 from typing import Iterator, Optional
@@ -53,7 +58,7 @@ from .qseries import (
     _row_sums,
     modular_derivative,
 )
-from .reps import RepTriple
+from .reps import RepTriple, _others
 
 __all__ = [
     "DerivedBasis",
@@ -172,13 +177,20 @@ def build_mde(t: RepTriple, order: int) -> MDESystem:
     )
 
 
+def _diagonal(t: RepTriple, w: int, u: int) -> int:
+    """6N^3 u^3 phi(w / (Nu)) for the indicial cubic phi, from its roots."""
+    return 6 * (w - t.A * u) * (w - t.B * u) * (w - t.C * u)
+
+
 def indicial_phi(sys: MDESystem, lam: RationalLike) -> Fraction:
     """The indicial cubic lam(lam-1)(lam-2) + g2(0) lam(lam-1) + g1(0) lam + g0(0).
 
-    Its roots are exactly the leading exponents A/N, B/N, C/N.
+    Its roots are exactly the leading exponents A/N, B/N, C/N, so it is the
+    monic product of the lam - A/N, read from _diagonal.
     """
     lam = _exact(lam)
-    return lam * (lam - 1) * (lam - 2) + _phi(sys, 0, lam)
+    n, u = sys.triple.N, lam.denominator
+    return Fraction(_diagonal(sys.triple, n * lam.numerator, u), 6 * n**3 * u**3)
 
 
 def phi_j(sys: MDESystem, j: int, lam: RationalLike) -> Fraction:
@@ -187,41 +199,14 @@ def phi_j(sys: MDESystem, j: int, lam: RationalLike) -> Fraction:
         raise ValueError(f"phi_j needs j >= 1, got {j}")
     if j > sys.order:
         raise ValueError(f"system built to order {sys.order}, requested j = {j}")
-    return _phi(sys, j, _exact(lam))
-
-
-def _phi(sys: MDESystem, m: int, lam: Fraction) -> Fraction:
-    """g2(m) lam(lam-1) + g1(m) lam + g0(m), read from the h arrays."""
-    n = sys.triple.N
-    return (sys.h2[m] * n * n * lam * (lam - 1) + sys.h1[m] * n * lam + sys.h0[m]) / (6 * n**3)
-
-
-def _recursion_c(t: RepTriple, lead: int, T: int) -> list[int]:
-    """[c_1, ..., c_T] with c_k = 6N k lambda(k), checking the lead once.
-
-    lambda(k) = N^2 phi(a/N + k) / k = (Nk + a - b)(Nk + a - c) for a = lead:
-    3a - sigma = (a - b) + (a - c) and 3a^2 - 2a sigma + omega = (a - b)(a - c).
-    Raises ValueError for a lead that is not an exponent and ArithmeticError
-    for a zero lambda(k), a resonance impossible for distinct exponents.
-    """
-    if lead not in (t.A, t.B, t.C):
-        raise ValueError(f"lead exponent {lead} is not one of {(t.A, t.B, t.C)}")
-    sig, n_level = t.sigma, t.N
-    d, e = 3 * lead - sig, lead * (3 * lead - 2 * sig) + t.omega
-    c = []
-    for k in range(1, T + 1):
-        nn = n_level * k
-        val = nn * (nn + d) + e
-        if val == 0:
-            raise ArithmeticError(f"lambda_n vanishes for {t}, lead {lead}, n = {k}")
-        c.append(6 * nn * val)
-    return c
+    lam, n = _exact(lam), sys.triple.N
+    return (sys.h2[j] * n * n * lam * (lam - 1) + sys.h1[j] * n * lam + sys.h0[j]) / (6 * n**3)
 
 
 def _rows(
-    sys: MDESystem, scales: tuple[int, int, int], v0: int, d: int, first: int, T: int
+    sys: MDESystem, scales: tuple[int, int, int], v0: int, d: int, T: int
 ) -> Iterator[list[int]]:
-    """For n = first, ..., T, the row p with p[m - first] = P_m(n - m), m = first..n.
+    """For n = 1, ..., T, the row p with p[m - 1] = P_m(n - m), m = 1..n.
 
     P_m(j) = s2 h2[m] v_j (v_j - d) + s1 h1[m] v_j + s0 h0[m] for the scales
     (s2, s1, s0) and v_j = v0 + j d.  P_m is quadratic in j, so each row
@@ -233,8 +218,8 @@ def _rows(
     h0, h1, h2 = sys.h0, sys.h1, sys.h2
     k2, k1 = s2 * v0 * (v0 - d), s1 * v0
     j2, j1 = 2 * s2 * v0 * d, s1 * d
-    p, dp, ddp = [], [], [2 * s2 * d * d * v for v in h2[first : T + 1]]
-    for n in range(first, T + 1):
+    p, dp, ddp = [], [], [2 * s2 * d * d * v for v in h2[1 : T + 1]]
+    for n in range(1, T + 1):
         p = list(map(add, p, dp))
         dp = list(map(add, dp, ddp))
         p.append(k2 * h2[n] + k1 * h1[n] + s0 * h0[n])
@@ -254,18 +239,23 @@ def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> 
     Reducing b_n / L is the only gcd on numbers of L's size.  The b_j are
     held in the blocks of qseries as they come: only the open one, recent,
     grows by r, with rho = L / (L at the last close).  S is their _horner sum
-    against the row P_{n-j}(j) of _rows at unit scales, v_j = lead + j N.
+    against the row P_{n-j}(j) of _rows at unit scales, v_j = lead + j N, and
+    c_n comes from _diagonal; a zero c_n, impossible for distinct exponents,
+    raises ArithmeticError.
     """
     T = sys.order if order is None else order
     if T < 0:
         raise ValueError(f"order must be >= 0, got {T}")
     if T > sys.order:
         raise ValueError(f"system built to order {sys.order}, requested {T}")
-    n_level = sys.triple.N
+    t = sys.triple
+    _others(t, lead)
     blocks, rho, recent, L = [], 1, [1], 1
     coeffs = [Fraction(1)]
-    rows = _rows(sys, (1, 1, 1), lead, n_level, 1, T)
-    for cn, p in zip(_recursion_c(sys.triple, lead, T), rows):
+    for n, p in enumerate(_rows(sys, (1, 1, 1), lead, t.N, T), 1):
+        cn = _diagonal(t, lead + n * t.N, 1)
+        if cn == 0:
+            raise ArithmeticError(f"lambda_n vanishes for {t}, lead {lead}, n = {n}")
         s = _horner([*blocks, (rho, recent)], reversed(p))
         g = gcd(s, cn)
         if g != cn:
@@ -278,7 +268,7 @@ def component_series(sys: MDESystem, lead: int, order: Optional[int] = None) -> 
         if _closes(len(recent), len(coeffs)):
             blocks.append((rho, recent))
             rho, recent = 1, []
-    return QExpansion(Fraction(lead, n_level), coeffs)
+    return QExpansion(Fraction(lead, t.N), coeffs)
 
 
 def minimal_vector(sys: MDESystem) -> MinimalVector:
@@ -293,19 +283,19 @@ def ode_residual(sys: MDESystem, f: QExpansion) -> QExpansion:
 
     With f = q^(s/e) sum a_n q^n and v_j = s + e j, the coefficient of
     q^(s/e + n) times 6N^3 e^3 is the recursion's row sum: the diagonal
-    6N^3 v_n (v_n - e)(v_n - 2e) a_n plus the sum over j <= n of a_j R_{n-j}(j),
-    R_m(j) = N^2 e h2[m] v_j (v_j - e) + N e^2 h1[m] v_j + e^3 h0[m], from
-    _rows; _row_sums gives both times its d.  It vanishes on recursion output
-    and isolates phi(s/e + n) times the perturbation of a series.
+    6N^3 e^3 phi(v_n / e) a_n, from _diagonal, plus the sum over j < n of
+    a_j R_{n-j}(j), R_m(j) = N^2 e h2[m] v_j (v_j - e) + N e^2 h1[m] v_j +
+    e^3 h0[m], from _rows (an empty row for n = 0); _row_sums gives both times
+    its d.  It vanishes on recursion output and isolates phi(s/e + n) times
+    the perturbation of a series.
     """
     T = min(f.order, sys.order)
     s, e = f.exponent.numerator, f.exponent.denominator
-    n_level = sys.triple.N
-    cube = 6 * n_level**3
-    rows = _rows(sys, (n_level * n_level * e, n_level * e * e, e**3), s, e, 0, T)
-    sums = _row_sums(f, map(reversed, rows))
+    t = sys.triple
+    rows = _rows(sys, (t.N * t.N * e, t.N * e * e, e**3), s, e, T)
+    sums = _row_sums(f, chain([()], map(reversed, rows)))
     return QExpansion(f.exponent, [
-        Fraction(cube * v * (v - e) * (v - 2 * e) * x + c, cube * e**3 * d)
+        Fraction(_diagonal(t, t.N * v, e) * x + c, 6 * t.N**3 * e**3 * d)
         for v, (d, x, c) in zip(count(s, e), sums)
     ])
 

@@ -142,6 +142,13 @@ def validate_triple(A: int, B: int, C: int, N: int) -> RepTriple:
     return RepTriple(a, b, c, N)
 
 
+def _others(t: RepTriple, lead: int) -> tuple[int, int]:
+    """The two exponents besides lead; ValueError if lead is not an exponent."""
+    if lead not in (t.A, t.B, t.C):
+        raise ValueError(f"lead exponent {lead} is not one of {(t.A, t.B, t.C)}")
+    return (t.B, t.C) if lead == t.A else (t.A, t.C) if lead == t.B else (t.A, t.B)
+
+
 def _admissible(N: int) -> list[tuple[int, int, int, int]]:
     """(a, b, c, k0) of every admissible triple at level N, sorted, unvalidated.
     N | 4 sigma iff step = N/gcd(4, N) divides sigma = a + b + c, so sigma runs

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Optional
 from .arith import INFINITY, ValuationValue, int_valuation, is_prime, prime_factors
 from .mde import build_mde, component_series
 from .qseries import QExpansion
-from .reps import RepTriple, _case_table
+from .reps import RepTriple, _case_table, _others
 
 __all__ = [
     "DenominatorProfile",
@@ -155,8 +155,7 @@ def z_n_value(t: RepTriple, lead: int, n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"z_n_value needs n >= 0, got {n}")
-    if lead not in (t.A, t.B, t.C):
-        raise ValueError(f"lead exponent {lead} is not one of {(t.A, t.B, t.C)}")
+    _others(t, lead)
     sig, om, pi, big_n = t.sigma, t.omega, t.product, t.N
     u = lead + big_n * n
     return (
@@ -230,7 +229,7 @@ def _form_key(alpha: int, beta: int, p: int, va: int) -> tuple[int, int, int]:
 def _forms(t: RepTriple, lead: int, p: int, nu_level: int) -> tuple[tuple[int, int, int], ...]:
     """The keys of the forms k, Nk + a - b, Nk + a - c of c_k = 6N * k *
     (Nk + a - b) * (Nk + a - c), a = lead, nu_level = nu_p(N)."""
-    b, c = (e for e in (t.A, t.B, t.C) if e != lead)
+    b, c = _others(t, lead)
     return (0, 1, 0), _form_key(t.N, lead - b, p, nu_level), _form_key(t.N, lead - c, p, nu_level)
 
 

@@ -152,12 +152,10 @@ def reference_unreduced(sys: MDESystem, lead: int, T: int) -> tuple[list[int], l
     c[k] = 6N k lambda(k): the unreduced numerators of the recursion,
     anum[n] = -sum_{j<n} anum[j] (6N^3 phi_{n-j}(lead/N + j)) c[j+1] ... c[n-1],
     evaluated as a Horner recurrence with no reduction and no Fraction."""
-    t = sys.triple
-    N, sig, om = t.N, t.sigma, t.omega
+    N = sys.triple.N
     u = [lead + j * N for j in range(T + 1)]
     uu = [v * (v - N) for v in u]
-    c = [1] + [6 * v * (v * (v + 3 * lead - sig) + lead * (3 * lead - 2 * sig) + om)
-               for v in (N * k for k in range(1, T + 1))]
+    c = [1] + reference_c(sys.triple, lead, T)
     anum = [1]
     for n in range(1, T + 1):
         s = 0
@@ -168,9 +166,18 @@ def reference_unreduced(sys: MDESystem, lead: int, T: int) -> tuple[list[int], l
     return anum, c
 
 
+def reference_c(t: RepTriple, lead: int, T: int) -> list[int]:
+    """[c_1, ..., c_T], c_k = 6N k lambda(k) with lambda(k) = (Nk + a - b)(Nk + a - c)
+    for a = lead written through sigma and omega: 3a - sigma = (a - b) + (a - c)
+    and 3a^2 - 2a sigma + omega = (a - b)(a - c)."""
+    sig, om = t.sigma, t.omega
+    return [6 * v * (v * (v + 3 * lead - sig) + lead * (3 * lead - 2 * sig) + om)
+            for v in (t.N * k for k in range(1, T + 1))]
+
+
 def reference_law(p: int, shift: int, c: list[int]) -> list[int]:
     """The law's column n * shift - sum_{k<=n} nu_p(c_k) for n = 1..len(c),
-    given c = [c_1, ..., c_n] from _recursion_c and shift = delta + nu_p(6N)."""
+    given c = [c_1, ..., c_n] from reference_c and shift = delta + nu_p(6N)."""
     return [n * shift - d for n, d in enumerate(accumulate(int_valuation(ck, p) for ck in c), 1)]
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import vvmf3.mde
 import vvmf3.qseries
 from vvmf3.mde import (
-    _recursion_c,
+    _diagonal,
     build_mde,
     component_series,
     derived_basis,
@@ -79,14 +79,17 @@ def test_structural_divisibility_sampled():
 
 
 def test_indicial_roots_and_cubic():
-    for t in (ANCHOR, UNBOUNDED, validate_triple(2, 3, 7, 8)):
+    # indicial_phi, the product of the lam - r_i, against the cubic
+    # lam(lam-1)(lam-2) + g2(0) lam(lam-1) + g1(0) lam + g0(0) of the h arrays.
+    for t in (ANCHOR, UNBOUNDED, validate_triple(2, 3, 7, 8), *sample_triples(40, 300)):
         sys = build_mde(t, 0)
+        gj = g_series(sys)
         for e in t.exponents:
-            assert indicial_phi(sys, e) == 0
+            assert indicial_phi(sys, e) == oracle_phi(gj, e) == 0
         # Monic cubic: phi(lam) - prod(lam - r_i) vanishes identically.
         for lam in (Fraction(1, 2), Fraction(5), Fraction(-3, 7)):
             prod = (lam - t.exponents[0]) * (lam - t.exponents[1]) * (lam - t.exponents[2])
-            assert indicial_phi(sys, lam) == prod
+            assert indicial_phi(sys, lam) == oracle_phi(gj, lam) == prod
 
 
 def test_phi_identities_vs_oracle():
@@ -103,19 +106,29 @@ def test_phi_identities_vs_oracle():
         phi_j(sys, 11, Fraction(1))
 
 
-def test_lambda_n_positive_and_consistent():
-    # c_k = 6N k lambda(k) = 6N^3 phi(lead/N + k), positive for every k >= 1.
+def test_lambda_n_positive_and_consistent(monkeypatch):
+    # Each c_k = 6N k lambda(k) = 6N^3 phi(lead/N + k) that component_series
+    # divides by, against the cubic of the oracle g-series; positive for k >= 1.
+    seen = []
+
+    def spy(t, w, u):
+        seen.append((w, u, c := _diagonal(t, w, u)))
+        return c
+
+    monkeypatch.setattr(vvmf3.mde, "_diagonal", spy)
     for t in sample_triples(25, 300):
-        sys = build_mde(t, 0)
+        gj = oracle_g_series(t, 0)
+        sys = build_mde(t, 11)
         for lead in (t.A, t.B, t.C):
             r = Fraction(lead, t.N)
-            c = _recursion_c(t, lead, 11)
-            assert len(c) == 11
-            for k, c_k in enumerate(c, 1):
+            seen.clear()
+            component_series(sys, lead)
+            assert [(w, u) for w, u, _ in seen] == [(lead + k * t.N, 1) for k in range(1, 12)]
+            for k, (_, _, c_k) in enumerate(seen, 1):
                 assert c_k > 0
-                assert 6 * t.N**3 * indicial_phi(sys, r + k) == c_k
+                assert 6 * t.N**3 * oracle_phi(gj, r + k) == c_k
     with pytest.raises(ValueError):
-        _recursion_c(ANCHOR, 3, 1)
+        component_series(build_mde(ANCHOR, 1), 3)
 
 
 def test_component_series_matches_naive_oracle():
@@ -433,7 +446,7 @@ def test_build_mde_validation():
 
 _OPTIMIZED_PROBE = """
 import sys
-from vvmf3.mde import _exact_div, _recursion_c
+from vvmf3.mde import _exact_div, build_mde, component_series
 from vvmf3.reps import RepTriple
 
 assert sys.flags.optimize
@@ -443,7 +456,7 @@ for name, value in zip("ABCN", (0, 1, 5, 1)):
     object.__setattr__(t, name, value)
 calls = (
     lambda: _exact_div(7, 2, "probe"),
-    lambda: _recursion_c(t, 0, 3),
+    lambda: component_series(build_mde(t, 3), 0),
 )
 for call in calls:
     try:

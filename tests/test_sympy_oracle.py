@@ -103,6 +103,19 @@ def test_first_recursion_polynomial_is_six_z():
     assert sympy.expand(h2 * u * (u - N) + h1 * u + h0 - 6 * z_n_value(t, A, j)) == 0
 
 
+def test_residual_diagonal_is_the_closed_indicial_cubic():
+    # The residual's diagonal from the equation, 6N^3 v (v - e)(v - 2e) plus
+    # the h_j[0] terms at scales N^2 e, N e^2, e^3, against mde._diagonal's
+    # 6(Nv - Ae)(Nv - Be)(Nv - Ce): a polynomial identity in (A, B, C, N, v, e),
+    # so the indicial cubic is monic with the roots A/N, B/N, C/N.
+    A, B, C, N, v, e = sympy.symbols("A B C N v e", integer=True)
+    h0, h1, h2 = _h(N, A + B + C, A * B + A * C + B * C, A * B * C, 0, 1, 1, 1,
+                    lambda a, b: a / b)
+    old = (6 * N**3 * v * (v - e) * (v - 2 * e) + N**2 * e * h2 * v * (v - e)
+           + N * e**2 * h1 * v + e**3 * h0)
+    assert sympy.expand(old - 6 * (N * v - A * e) * (N * v - B * e) * (N * v - C * e)) == 0
+
+
 def test_six_divides_every_later_h():
     # For m >= 1, h_j[m] / 6 is a polynomial with integer coefficients in N,
     # sigma, omega, the exponent product, m and sigma_1, sigma_3, sigma_5 of

@@ -9,13 +9,14 @@ from hypothesis import assume, example, given, strategies as st
 
 from conftest import (
     hypergeometric_valuations,
+    reference_c,
     reference_denominator_profile,
     reference_law,
     reference_unreduced,
     sample_triples,
 )
 from vvmf3.arith import INFINITY, int_valuation, is_prime, prime_factors, valuation_p
-from vvmf3.mde import _recursion_c, build_mde, component_series, minimal_vector, phi_j
+from vvmf3.mde import _diagonal, build_mde, component_series, minimal_vector, phi_j
 import vvmf3.mde
 import vvmf3.valuation
 from vvmf3.reps import enumerate_level, ubd_criterion, validate_triple
@@ -299,7 +300,7 @@ def test_law_matches_reference_law(cold_law) -> None:
     assert len(pairs) > 10_000
     expected = []
     for t, p, lead, delta, n in pairs:
-        column = reference_law(p, delta + int_valuation(6 * t.N, p), _recursion_c(t, lead, n))
+        column = reference_law(p, delta + int_valuation(6 * t.N, p), reference_c(t, lead, n))
         expected.append(tuple(zip(range(1, n + 1), column, column)))
     for _ in ("cleared", "warm"):
         for (t, p, lead, delta, n), rows in zip(pairs, expected):
@@ -612,7 +613,7 @@ def test_verify_formula_rows_match_exact_recursion(monkeypatch) -> None:
 
     monkeypatch.setattr(vvmf3.valuation, "component_series",
                         spy("component_series", component_series))
-    monkeypatch.setattr(vvmf3.mde, "_recursion_c", spy("_recursion_c", _recursion_c))
+    monkeypatch.setattr(vvmf3.mde, "_diagonal", spy("_diagonal", _diagonal))
     shifted, tight = set(), set()
     for t in triples:
         mde = build_mde(t, T)
@@ -681,7 +682,7 @@ def _forbid_system(monkeypatch) -> None:
 
     for module, name in ((vvmf3.valuation, "build_mde"),
                          (vvmf3.valuation, "component_series"),
-                         (vvmf3.mde, "_recursion_c")):
+                         (vvmf3.mde, "_diagonal")):
         monkeypatch.setattr(module, name, boom(name))
 
 
@@ -707,15 +708,15 @@ def test_verify_formula_stays_on_modular_path_with_shift(monkeypatch) -> None:
     assert report.verdict == "formula-verified"
 
 
-def test_verify_formula_builds_c_only_past_window_one(monkeypatch) -> None:
+def test_applicable_verify_formula_builds_no_c_k(monkeypatch) -> None:
     # No c_k is built, at shift 0 (p = 11) or at shift 2 (p = 3).
     built = []
 
-    def spy(t, lead, T):
-        built.append(T)
-        return _recursion_c(t, lead, T)
+    def spy(t, w, u):
+        built.append(w)
+        return _diagonal(t, w, u)
 
-    monkeypatch.setattr(vvmf3.mde, "_recursion_c", spy)
+    monkeypatch.setattr(vvmf3.mde, "_diagonal", spy)
     assert verify_formula(validate_triple(1, 3, 7, 11), 11, n_max=100).verdict \
         == "formula-verified"
     assert verify_formula(validate_triple(0, 1, 26, 27), 3, n_max=60).verdict \

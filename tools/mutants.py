@@ -136,12 +136,23 @@ MUTANTS = (
     (
         "rows_second_difference_halved",
         "src/vvmf3/mde.py",
-        "[2 * s2 * d * d * v for v in h2[first : T + 1]]",
-        "[s2 * d * d * v for v in h2[first : T + 1]]",
+        "[2 * s2 * d * d * v for v in h2[1 : T + 1]]",
+        "[s2 * d * d * v for v in h2[1 : T + 1]]",
         "drops the factor 2 of the second difference in j of P_m(j), so every "
         "row from the third on is wrong",
         "killed",
         ("tests/test_mde.py::test_component_series_matches_naive_oracle",),
+    ),
+    (
+        "diagonal_root_c_as_b",
+        "src/vvmf3/mde.py",
+        "(w - t.C * u)",
+        "(w - t.B * u)",
+        "puts the root B/N twice in the closed indicial cubic, so c_n and the "
+        "residual's diagonal are wrong alike and the residual stays zero",
+        "killed",
+        ("tests/test_mde.py::test_component_series_matches_naive_oracle",
+         "tests/test_mde.py::test_ode_residual_matches_convolution_reference_on_components"),
     ),
     (
         "prime_cases_case_5_at_5",
