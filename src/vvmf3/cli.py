@@ -19,6 +19,11 @@ its verdict: where the law applies it is proved for every row.
 
 Each subcommand computes and checks its result before anything is written, so
 invalid input never opens --output; then only the requested format is built.
+Rationals become text in two places: `_fmt` for csv and table cells, and the
+JSON encoder's `default` hook, which renders each Fraction just before the
+encoder writes it.  JSON handlers pass library values (a series as its
+exponent, its own coefficient tuple and its order), so no command holds its
+rendered JSON.
 `scan` reads each level's rows as (A, B, C, k0), with one index per row into
 the level's one to three classifications, and builds no RepTriple.  Per level
 and format it makes one %-template per classification, holding N and its
@@ -43,7 +48,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .arith import rational_str
 from .mde import build_mde, derived_basis, minimal_vector
-from .qseries import eisenstein
+from .qseries import QExpansion, eisenstein
 from .reps import (
     Classification,
     RepTriple,
@@ -84,7 +89,7 @@ class _Result:
     table: Callable[[TextIO], None]
 
 
-_ENCODER = json.JSONEncoder(indent=2)
+_ENCODER = json.JSONEncoder(indent=2, default=rational_str)
 
 
 def _result(json_obj: Callable[[], object], header: tuple[str, ...],
@@ -111,6 +116,12 @@ def _fmt(x: object) -> str:
     if x is None:
         return ""
     return rational_str(x) if type(x) in (int, Fraction) else str(x)
+
+
+def _series(f: QExpansion) -> dict:
+    """The JSON layout of QExpansion.to_json_dict over the series' own
+    exponent and coefficient tuple, rendered by the encoder as it writes."""
+    return {"exponent": f.exponent, "coeffs": f.coeffs, "order": f.order}
 
 
 def _spaced(xs: Iterable[object]) -> str:
@@ -188,7 +199,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> _Result:
 
     def json_obj() -> dict:
         return {"triple": t.to_json_dict(), "terms": terms,
-                "components": [c.to_json_dict() for c in comps]}
+                "components": [_series(c) for c in comps]}
 
     rows = zip(range(terms + 1), *(c.coeffs for c in comps))
     header = ("n", "component_A", "component_B", "component_C")
@@ -214,11 +225,8 @@ def _cmd_params(args: argparse.Namespace) -> _Result:
           for j, h in ((2, sys_.h2), (1, sys_.h1), (0, sys_.h0))),
     ]
 
-    def json_obj() -> dict:
-        fields = {k: _fmt(v) if type(v) is Fraction else v for k, v in rows}
-        return {"triple": t.to_json_dict(), **fields}
-
-    return _result(json_obj, ("field", "value"), rows)
+    return _result(lambda: {"triple": t.to_json_dict(), **dict(rows)},
+                   ("field", "value"), rows)
 
 
 def _cmd_valuations(args: argparse.Namespace) -> _Result:
@@ -330,11 +338,8 @@ def _cmd_family(args: argparse.Namespace) -> _Result:
 
 def _cmd_eisenstein(args: argparse.Namespace) -> _Result:
     f = eisenstein(args.weight, _terms(args, 0))
-
-    def json_obj() -> dict:
-        return {"weight": args.weight, "series": f.to_json_dict()}
-
-    return _result(json_obj, ("n", "coefficient"), enumerate(f.coeffs))
+    return _result(lambda: {"weight": args.weight, "series": _series(f)},
+                   ("n", "coefficient"), enumerate(f.coeffs))
 
 
 def _cmd_basis(args: argparse.Namespace) -> _Result:
@@ -346,10 +351,10 @@ def _cmd_basis(args: argparse.Namespace) -> _Result:
     def json_obj() -> dict:
         return {
             "triple": t.to_json_dict(),
-            **{label: [c.to_json_dict() for c in comps] for label, comps in groups},
-            "matrix": [[rational_str(v) for v in row] for row in basis.matrix],
-            "det": rational_str(basis.determinant),
-            "vandermonde": rational_str(basis.vandermonde),
+            **{label: [_series(c) for c in comps] for label, comps in groups},
+            "matrix": basis.matrix,
+            "det": basis.determinant,
+            "vandermonde": basis.vandermonde,
         }
 
     def rows() -> Iterator[tuple[str, object]]:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,8 +19,9 @@ import vvmf3.cli as cli
 import vvmf3.reps as reps
 from conftest import brute_force_level, oracle_g_series
 from vvmf3.cli import EXIT_INVALID, EXIT_OK, FORMAT_ENV_VAR, run
-from vvmf3.mde import build_mde, minimal_vector
-from vvmf3.qseries import QExpansion
+from vvmf3.arith import rational_str
+from vvmf3.mde import build_mde, derived_basis, minimal_vector
+from vvmf3.qseries import QExpansion, eisenstein
 from vvmf3.reps import classify_triple, enumerate_level, validate_triple
 
 
@@ -330,6 +332,41 @@ def test_output_file(tmp_path, capsys) -> None:
                 "--format", "json", "--output", str(target)]) == EXIT_OK
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["terms"] == 2
+
+
+def test_json_output_holds_no_copy_of_itself(tmp_path) -> None:
+    # The encoder renders each coefficient as it writes it, so the run's peak
+    # stays below the size of its own output, which a result held as
+    # rendered strings would exceed.  build_mde first fills the Eisenstein
+    # cache, which outlives the run.
+    target = tmp_path / "coeffs.json"
+    build_mde(validate_triple(1, 3, 7, 11), 400)
+    tracemalloc.start()
+    try:
+        assert run(["coeffs", "--triple", "1,3,7,11", "--terms", "400",
+                    "--format", "json", "--output", str(target)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < target.stat().st_size
+
+
+def test_encoder_renders_rationals_in_its_hook() -> None:
+    big = Fraction(10**5000 + 1, 7)
+    assert "".join(cli._ENCODER.iterencode(big)) == json.dumps(rational_str(big))
+    assert "".join(cli._ENCODER.iterencode([Fraction(-3, 6), 2])) == '[\n  "-1/2",\n  2\n]'
+    with pytest.raises(TypeError):
+        "".join(cli._ENCODER.iterencode({"x": object()}))
+
+
+def test_cli_series_layout_is_to_json_dict() -> None:
+    sys_ = build_mde(validate_triple(1, 3, 7, 11), 12)
+    mv = minimal_vector(sys_)
+    basis = derived_basis(sys_, mv)
+    # Reduced series, series still in integer form, and one with exponent 0.
+    for f in (*mv.components, *basis.first, *basis.second, eisenstein(6, 5)):
+        layout = json.loads("".join(cli._ENCODER.iterencode(cli._series(f))))
+        assert layout == f.to_json_dict()
 
 
 INVALID_ARGV = [

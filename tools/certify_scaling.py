@@ -21,6 +21,7 @@ so two checkouts can be shown to compute the same numbers.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import platform
@@ -81,6 +82,7 @@ def certify(t: "vvmf3.RepTriple", order: int) -> dict:
 
 
 def main() -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     t = vvmf3.validate_triple(*TRIPLE)
     print(json.dumps({
         "triple": ",".join(map(str, TRIPLE)),

@@ -357,6 +357,16 @@ MUTANTS = (
         "killed",
         ("tests/test_cli.py::test_scan_csv_streams",),
     ),
+    (
+        "encoder_default_str",
+        "src/vvmf3/cli.py",
+        "default=rational_str",
+        "default=str",
+        "renders JSON rationals by str, which raises past CPython's 4,300-digit "
+        "limit on int to str conversion",
+        "killed",
+        ("tests/test_cli.py::test_encoder_renders_rationals_in_its_hook",),
+    ),
 )
 
 
